@@ -21,9 +21,9 @@ trace:
 
 # One repetition of the plan-cache and vectorized-execution experiments on a
 # tiny graph: cold vs amortized latency over all 50 workload queries with
-# workers-1-vs-4 byte-identity, then columnar kernels vs the row interpreter
-# (byte-identity asserted per worker count). Emits BENCH_plan_cache.json and
-# BENCH_exec.json.
+# workers-1-vs-4 byte-identity, then compiled predicate kernels vs the row
+# interpreter over the same chunks (identical survivors asserted). Emits
+# BENCH_plan_cache.json and BENCH_exec.json.
 bench-smoke:
 	GOPT_BENCH_PERSONS=60 GOPT_BENCH_BUDGET=2 GOPT_BENCH_CACHE_CONSULTS=50 \
 	  dune exec bench/main.exe -- plan_cache

@@ -10,6 +10,7 @@
 module H = Harness
 module Engine = Gopt_exec.Engine
 module Batch = Gopt_exec.Batch
+module Eval = Gopt_exec.Eval
 module Planner = Gopt_opt.Planner
 module Physical = Gopt_opt.Physical
 module Spec = Gopt_opt.Physical_spec
@@ -814,25 +815,28 @@ let plan_cache_bench () =
 
 (* ---------------------------------------------------------- vectorized -- *)
 
-(* Columnar vs row-at-a-time execution. Per query the plan is compiled once
-   and executed with vectorized kernels on and off (`off` is the row
-   interpreter the columnar refactor replaced), sequentially and on 4
-   worker domains; rendered results are compared byte-for-byte. The
-   throughput numerator — vertices scanned plus intermediate rows
-   produced — is identical in both modes, so the reported speedup is a
-   pure wall-clock ratio. Plans containing only scans, filters,
-   projections and row-number cuts are tagged filter/projection-dominated;
-   the acceptance summary is the geomean speedup over that subset (target:
-   >= 1.5x). Emits BENCH_exec.json. *)
+(* Compiled predicate kernels vs the row interpreter, at the Eval level. Per
+   query the plan's predicates are collected: each scan predicate with the
+   scan's chunks (vertex-id slices of the type index, as the engine builds
+   them) and each Select predicate with its materialized input cut into
+   chunks of the same size. Over identical chunks, one pass narrows every
+   chunk with [Eval.run_kernel] and the other keeps the rows on which
+   [Eval.eval] is true, one row at a time; the survivors must agree exactly.
+   The reported speedup is the ratio of the two passes' median wall-clock
+   times. Plans containing only scans, filters, projections and row-number
+   cuts are tagged filter/projection-dominated; the acceptance summary is the
+   geomean speedup over that subset (target: >= 1.5x). Emits
+   BENCH_exec.json. *)
 let vectorized_bench () =
   let session = H.ldbc_session H.bench_persons in
   let graph = Gopt.Session.graph session in
   let vuniv = Gopt_graph.Schema.n_vtypes (Gopt.Session.schema session) in
+  let chunk_size = 1024 in
   let queries =
     Queries.vs
     @ [
-        (* expansion/aggregation-heavy contrast rows: kernels only cover the
-           scan stage, so the speedup is expected to shrink here *)
+        (* expansion/aggregation-heavy contrast rows: their predicates sit
+           on scans and on joined rows *)
         Queries.find Queries.comprehensive "BI1";
         Queries.find Queries.comprehensive "BI12";
       ]
@@ -848,15 +852,8 @@ let vectorized_bench () =
     | Physical.Union (a, b) -> filter_dominated a && filter_dominated b
     | _ -> false
   in
-  (* static count of vertices the plan's scans read (the Limit short-circuit
-     may stop earlier; the figure is the same for both execution modes) *)
-  let rec scanned = function
-    | Physical.Scan { con; _ } ->
-      List.fold_left
-        (fun acc t -> acc + Gopt_graph.Property_graph.count_vtype graph t)
-        0
-        (Tc.to_list ~universe:vuniv con)
-    | Physical.Empty _ | Physical.Common_ref _ -> 0
+  let children = function
+    | Physical.Scan _ | Physical.Empty _ | Physical.Common_ref _ -> []
     | Physical.Select (x, _)
     | Physical.Project (x, _)
     | Physical.Group (x, _, _)
@@ -870,122 +867,167 @@ let vectorized_bench () =
     | Physical.Expand_into (x, _)
     | Physical.Expand_intersect (x, _)
     | Physical.Path_expand (x, _) ->
-      scanned x
-    | Physical.Union (a, b) -> scanned a + scanned b
-    | Physical.Hash_join { left; right; _ } -> scanned left + scanned right
-    | Physical.With_common { common; left; right; _ } ->
-      scanned common + scanned left + scanned right
+      [ x ]
+    | Physical.Union (a, b) -> [ a; b ]
+    | Physical.Hash_join { left; right; _ } -> [ left; right ]
+    | Physical.With_common { common; left; right; _ } -> [ common; left; right ]
   in
-  let module Op_trace = Gopt_exec.Op_trace in
-  let rec kernel_totals (r, ns) (tr : Op_trace.t) =
-    List.fold_left kernel_totals
-      (r + tr.Op_trace.rows_selected, ns +. tr.Op_trace.kernel_ns)
-      tr.Op_trace.children
+  let slices b =
+    List.init
+      ((Batch.n_rows b + chunk_size - 1) / chunk_size)
+      (fun i ->
+        let pos = i * chunk_size in
+        Batch.sub b ~pos ~len:(min chunk_size (Batch.n_rows b - pos)))
   in
-  let render b = Format.asprintf "%a" (Batch.pp graph) b in
+  (* (fields, predicate, input chunks) for every predicate in the plan;
+     Selects under a WithCommon's shared input cannot run on their own and
+     are left out *)
+  let rec sites p =
+    let here =
+      match p with
+      | Physical.Scan { alias; con; pred = Some pred } ->
+        let chunks =
+          List.concat_map
+            (fun t ->
+              let verts = Gopt_graph.Property_graph.vertices_of_vtype graph t in
+              slices (Batch.of_vertex_ids alias verts ~pos:0 ~len:(Array.length verts)))
+            (Tc.to_list ~universe:vuniv con)
+        in
+        [ ([ alias ], pred, chunks) ]
+      | Physical.Select (x, pred) -> (
+        match Engine.run ~budget:H.bench_budget graph x with
+        | input, _ -> [ (Physical.output_fields x, pred, slices input) ]
+        | exception Failure _ -> [])
+      | _ -> []
+    in
+    here @ List.concat_map sites (children p)
+  in
+  let kernel_pass kernels () =
+    List.map
+      (fun (k, chunks) ->
+        List.map
+          (fun b -> Eval.run_kernel k b (Array.init (Batch.n_rows b) Fun.id))
+          chunks)
+      kernels
+  in
+  let row_pass sites () =
+    List.map
+      (fun (_, pred, chunks) ->
+        List.map
+          (fun b ->
+            let keep = ref [] in
+            for i = Batch.n_rows b - 1 downto 0 do
+              if Eval.is_true (Eval.eval graph (Batch.lookup b i) pred) then
+                keep := i :: !keep
+            done;
+            Array.of_list !keep)
+          chunks)
+      sites
+  in
+  (* median wall-clock seconds of one pass, after a warm-up pass *)
+  let median_time f =
+    let out = f () in
+    let times = ref [] and total = ref 0.0 in
+    while !total < 0.2 && List.length !times < 200 do
+      let t0 = Unix.gettimeofday () in
+      ignore (f ());
+      let dt = Unix.gettimeofday () -. t0 in
+      times := dt :: !times;
+      total := !total +. dt
+    done;
+    let sorted = Array.of_list (List.sort compare !times) in
+    (out, sorted.(Array.length sorted / 2))
+  in
   let fnum v = if Float.is_nan v then "null" else Printf.sprintf "%.6e" v in
   let rows = ref [] and json = ref [] in
-  let sp1s = ref [] and sp4s = ref [] in
+  let all_sps = ref [] and fdom_sps = ref [] in
   List.iter
     (fun (q : Queries.query) ->
       let physical, _ = Gopt.plan_cypher session q.Queries.cypher in
       let fdom = filter_dominated physical in
-      let measure ~vectorize ?workers () =
-        let run () =
-          Engine.run ~budget:H.bench_budget ~vectorize ?workers graph physical
-        in
-        let b, st = run () in
-        (* warmed up; then average enough repetitions to get off the clock
-           granularity *)
-        let reps = ref 0 and t = ref 0.0 in
-        while !t < 0.2 && !reps < 100 do
-          let t0 = Unix.gettimeofday () in
-          ignore (run ());
-          t := !t +. (Unix.gettimeofday () -. t0);
-          incr reps
-        done;
-        (b, st, !t /. float_of_int !reps)
+      let sites = sites physical in
+      let kernels =
+        List.map
+          (fun (fields, pred, chunks) -> (Eval.compile graph ~fields pred, chunks))
+          sites
       in
-      let b_on1, st_on1, t_on1 = measure ~vectorize:true () in
-      let b_off1, _, t_off1 = measure ~vectorize:false () in
-      let b_on4, _, t_on4 = measure ~vectorize:true ~workers:4 () in
-      let b_off4, _, t_off4 = measure ~vectorize:false ~workers:4 () in
-      (* hard guarantee of this engine: kernels never change the result at
-         any worker count. The sequential pipeline and the morsel engine may
-         legitimately pick different ties under ORDER BY ... LIMIT (the
-         morsel engine is byte-identical across worker counts; recorded, not
-         asserted). *)
-      if render b_off1 <> render b_on1 then
-        failwith (Printf.sprintf "%s: kernels changed the w=1 result!" q.Queries.name);
-      if render b_off4 <> render b_on4 then
-        failwith (Printf.sprintf "%s: kernels changed the w=4 result!" q.Queries.name);
-      let w1_eq_w4 = if render b_on4 = render b_on1 then "yes" else "tie-order" in
-      let thr = scanned physical + st_on1.Engine.intermediate_rows in
-      let k_rows, k_ns =
-        match st_on1.Engine.op_trace with
-        | Some tr -> kernel_totals (0, 0.0) tr
-        | None -> (0, 0.0)
+      let n_in =
+        List.fold_left
+          (fun acc (_, _, chunks) ->
+            List.fold_left (fun acc b -> acc + Batch.n_rows b) acc chunks)
+          0 sites
       in
-      let sp1 = t_off1 /. t_on1 and sp4 = t_off4 /. t_on4 in
-      if fdom then begin
-        sp1s := sp1 :: !sp1s;
-        sp4s := sp4 :: !sp4s
+      let specialized = List.exists (fun (k, _) -> Eval.vectorized k) kernels in
+      let k_out, t_kernel = median_time (kernel_pass kernels) in
+      let r_out, t_row = median_time (row_pass sites) in
+      if k_out <> r_out then
+        failwith
+          (Printf.sprintf "%s: kernel and row interpreter disagree!" q.Queries.name);
+      let survivors =
+        List.fold_left
+          (List.fold_left (fun acc a -> acc + Array.length a))
+          0 k_out
+      in
+      let sp = if sites = [] then nan else t_row /. t_kernel in
+      if sites <> [] then begin
+        all_sps := sp :: !all_sps;
+        if fdom then fdom_sps := sp :: !fdom_sps
       end;
-      let mrps t = float_of_int thr /. t /. 1e6 in
+      let mrps t =
+        if sites = [] then "-" else Printf.sprintf "%.2f" (float_of_int n_in /. t /. 1e6)
+      in
       rows :=
         [
           q.Queries.name;
           (if fdom then "yes" else "no");
-          string_of_int (Batch.n_rows b_on1);
-          Printf.sprintf "%.2f" (mrps t_on1);
-          Printf.sprintf "%.2f" (mrps t_off1);
-          Printf.sprintf "%.2fx" sp1;
-          Printf.sprintf "%.2fx" sp4;
-          Printf.sprintf "%.3f" (k_ns /. 1e6);
-          string_of_int k_rows;
+          string_of_int (List.length sites);
+          (if specialized then "yes" else "no");
+          string_of_int n_in;
+          string_of_int survivors;
+          mrps t_kernel;
+          mrps t_row;
+          (if sites = [] then "-" else Printf.sprintf "%.2fx" sp);
         ]
         :: !rows;
       json :=
         Printf.sprintf
-          "    {\"query\": %S, \"filter_dominated\": %b, \"result_rows\": %d, \
-           \"throughput_rows\": %d, \"w1\": {\"vectorized_s\": %s, \"row_s\": %s, \
-           \"vectorized_rows_per_s\": %s, \"row_rows_per_s\": %s, \"speedup\": %s}, \
-           \"w4\": {\"vectorized_s\": %s, \"row_s\": %s, \"speedup\": %s}, \
-           \"kernel\": {\"rows_selected\": %d, \"kernel_s\": %s}, \
-           \"vectorize_identical\": \"yes\", \"workers_1_eq_4\": %S}"
-          q.Queries.name fdom (Batch.n_rows b_on1) thr (fnum t_on1) (fnum t_off1)
-          (fnum (float_of_int thr /. t_on1))
-          (fnum (float_of_int thr /. t_off1))
-          (fnum sp1) (fnum t_on4) (fnum t_off4) (fnum sp4) k_rows
-          (fnum (k_ns /. 1e9))
-          w1_eq_w4
+          "    {\"query\": %S, \"filter_dominated\": %b, \"predicates\": %d, \
+           \"specialized\": %b, \"input_rows\": %d, \"survivors\": %d, \
+           \"kernel_s\": %s, \"row_s\": %s, \"kernel_rows_per_s\": %s, \
+           \"row_rows_per_s\": %s, \"speedup\": %s, \"identical\": true}"
+          q.Queries.name fdom (List.length sites) specialized n_in survivors
+          (fnum t_kernel) (fnum t_row)
+          (fnum (float_of_int n_in /. t_kernel))
+          (fnum (float_of_int n_in /. t_row))
+          (fnum sp)
         :: !json)
     queries;
   H.print_table
     ~title:
       (Printf.sprintf
-         "Vectorized execution: columnar kernels vs row interpreter, wall clock \
-          (persons=%d; throughput = scanned + intermediate rows)"
-         H.bench_persons)
+         "Predicate kernels vs row interpreter over the same chunks, median wall \
+          clock (persons=%d, chunk=%d rows)"
+         H.bench_persons chunk_size)
     ~header:
       [
-        "query"; "f/p-dom"; "rows"; "Mrow/s vec w1"; "Mrow/s row w1";
-        "speedup w1"; "speedup w4"; "kernel ms"; "kernel sel";
+        "query"; "f/p-dom"; "preds"; "column loop"; "rows in"; "survivors";
+        "Mrow/s kernel"; "Mrow/s row"; "speedup";
       ]
     (List.rev !rows);
-  let geo1 = H.geomean !sp1s and geo4 = H.geomean !sp4s in
+  let geo_fdom = H.geomean !fdom_sps and geo_all = H.geomean !all_sps in
   Printf.printf
-    "filter/projection-dominated geomean speedup: %.2fx (w=1), %.2fx (w=4)%s\n"
-    geo1 geo4
-    (if geo1 >= 1.5 then " — meets the 1.5x target"
-     else " — below the 1.5x target at this scale");
+    "kernel vs row geomean speedup: %.2fx filter/projection-dominated%s; %.2fx all\n"
+    geo_fdom
+    (if geo_fdom >= 1.5 then " (meets the 1.5x target)"
+     else " (below the 1.5x target at this scale)")
+    geo_all;
   let oc = open_out "BENCH_exec.json" in
   Printf.fprintf oc
-    "{\n  \"experiment\": \"vectorized\",\n  \"persons\": %d,\n\
-    \  \"filter_dominated_geomean_speedup_w1\": %s,\n\
-    \  \"filter_dominated_geomean_speedup_w4\": %s,\n\
+    "{\n  \"experiment\": \"vectorized\",\n  \"persons\": %d,\n  \"chunk_size\": %d,\n\
+    \  \"filter_dominated_geomean_speedup\": %s,\n\
+    \  \"geomean_speedup\": %s,\n\
     \  \"queries\": [\n%s\n  ]\n}\n"
-    H.bench_persons (fnum geo1) (fnum geo4)
+    H.bench_persons chunk_size (fnum geo_fdom) (fnum geo_all)
     (String.concat ",\n" (List.rev !json));
   close_out oc;
   Printf.printf "wrote BENCH_exec.json\n"

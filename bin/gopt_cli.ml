@@ -51,21 +51,32 @@ let lint_query session config lang src =
   in
   front @ staged
 
+let workload_queries =
+  Gopt_workloads.Queries.comprehensive @ Gopt_workloads.Queries.qr
+  @ Gopt_workloads.Queries.qt @ Gopt_workloads.Queries.qc
+
+(* An unknown --workload name is a usage error: name the known queries and
+   exit non-zero. *)
+let known_workload = function
+  | None -> true
+  | Some name ->
+    let names = List.map (fun q -> q.Gopt_workloads.Queries.name) workload_queries in
+    let known = List.mem name names in
+    if not known then
+      Printf.eprintf "unknown workload %s; known: %s\n" name (String.concat ", " names);
+    known
+
 let run_lint session config lang workload query =
-  let named =
-    Gopt_workloads.Queries.comprehensive @ Gopt_workloads.Queries.qr
-    @ Gopt_workloads.Queries.qt @ Gopt_workloads.Queries.qc
-  in
   let targets =
     match (workload, query) with
     | Some name, _ ->
-      let q = Gopt_workloads.Queries.find named name in
+      let q = Gopt_workloads.Queries.find workload_queries name in
       [ (q.Gopt_workloads.Queries.name, q.Gopt_workloads.Queries.cypher) ]
     | None, Some q -> [ ("query", q) ]
     | None, None ->
       List.map
         (fun q -> (q.Gopt_workloads.Queries.name, q.Gopt_workloads.Queries.cypher))
-        named
+        workload_queries
   in
   let n_errors = ref 0 in
   List.iter
@@ -86,8 +97,9 @@ let run_lint session config lang workload query =
   if !n_errors > 0 then 1 else 0
 
 let run_main dataset persons accounts seed lang planner backend workers chunk_size
-    no_vectorize explain analyze stats_only lint workload repeat cache_stats load save
-    query =
+    explain analyze stats_only lint workload repeat cache_stats load save query =
+  if not (known_workload workload) then 2
+  else
   let graph =
     match load with
     | Some path -> Gopt_graph.Graph_io.load path
@@ -126,12 +138,7 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
     let query =
       match workload, query with
       | Some name, _ ->
-        let q =
-          Gopt_workloads.Queries.find
-            (Gopt_workloads.Queries.comprehensive @ Gopt_workloads.Queries.qr
-           @ Gopt_workloads.Queries.qt @ Gopt_workloads.Queries.qc)
-            name
-        in
+        let q = Gopt_workloads.Queries.find workload_queries name in
         Printf.printf "-- %s: %s\n%s\n\n" q.Gopt_workloads.Queries.name
           q.Gopt_workloads.Queries.description q.Gopt_workloads.Queries.cypher;
         q.Gopt_workloads.Queries.cypher
@@ -144,12 +151,10 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
     end
     else begin
       let workers = if workers <= 0 then None else Some workers in
-      let vectorize = not no_vectorize in
       let run () =
         match lang with
-        | "cypher" -> Gopt.run_cypher ~config ?chunk_size ?workers ~vectorize session query
-        | "gremlin" ->
-          Gopt.run_gremlin ~config ?chunk_size ?workers ~vectorize session query
+        | "cypher" -> Gopt.run_cypher ~config ?chunk_size ?workers session query
+        | "gremlin" -> Gopt.run_gremlin ~config ?chunk_size ?workers session query
         | other -> failwith (Printf.sprintf "unknown language %S (cypher|gremlin)" other)
       in
       let t0 = Sys.time () in
@@ -225,14 +230,6 @@ let chunk_size =
     value
     & opt (some int) None
     & info [ "chunk-size" ] ~doc:"pipelined batch granularity in rows (default 1024)")
-let no_vectorize =
-  Arg.(
-    value & flag
-    & info [ "no-vectorize" ]
-        ~doc:
-          "evaluate predicates and projections with the row-at-a-time interpreter \
-           instead of the columnar expression kernels (the benchmark baseline; \
-           results are identical)")
 let explain = Arg.(value & flag & info [ "explain" ] ~doc:"show plans instead of executing")
 let analyze =
   Arg.(value & flag & info [ "analyze" ] ~doc:"after executing, print the per-operator trace (EXPLAIN ANALYZE)")
@@ -272,7 +269,7 @@ let cmd =
     (Cmd.info "gopt" ~doc)
     Term.(
       const run_main $ dataset $ persons $ accounts $ seed $ lang $ planner $ backend
-      $ workers $ chunk_size $ no_vectorize $ explain $ analyze $ stats_only $ lint
+      $ workers $ chunk_size $ explain $ analyze $ stats_only $ lint
       $ workload $ repeat $ cache_stats $ load_file $ save_file $ query)
 
 let () = exit (Cmd.eval' cmd)

@@ -61,14 +61,14 @@ let profile_for (config : Planner.config) =
     Engine.graphscope_profile
   else Engine.neo4j_profile
 
-let run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers ?vectorize
+let run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers
     (s : Session.t) logical =
   let config = match config with Some c -> c | None -> Planner.default_config () in
   let profile = match profile with Some p -> p | None -> profile_for config in
   let physical, report = Planner.plan config s.Session.gq logical in
   let result, exec_stats =
-    Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers ?vectorize
-      s.Session.graph physical
+    Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers s.Session.graph
+      physical
   in
   { result; exec_stats; report; physical }
 
@@ -112,32 +112,34 @@ let cache_note ~hit (s : Session.t) =
   }
 
 (* Plan [ast] through the session cache: the fingerprint covers the AST, the
-   planner configuration and the current stats epoch, so a hit is guaranteed
-   to be the plan this configuration would produce right now. The cached
-   report keeps the planning-time statistics; only the cache note is
-   refreshed per serve. *)
+   planner configuration (signed as [config_sig]) and the current stats
+   epoch, so a hit is guaranteed to be the plan this configuration would
+   produce right now. The cached report keeps the planning-time statistics;
+   only the cache note is refreshed per serve. *)
+let plan_cached (s : Session.t) config ~config_sig ast =
+  let key = Fingerprint.digest ~config:config_sig ~epoch:s.Session.epoch ast in
+  let hit, (physical, report) =
+    match Plan_cache.find s.Session.cache key with
+    | Some entry -> (true, entry)
+    | None ->
+      let logical = Gopt_lang.Lowering.cypher (Session.schema s) ast in
+      let entry = Planner.plan config s.Session.gq logical in
+      Plan_cache.add s.Session.cache key entry;
+      (false, entry)
+  in
+  (physical, { report with Planner.plan_cache = Some (cache_note ~hit s) })
+
 let plan_ast_cached ?config (s : Session.t) ast =
   let config = match config with Some c -> c | None -> Planner.default_config () in
-  let key =
-    Fingerprint.digest ~config:(config_signature config) ~epoch:s.Session.epoch ast
+  let physical, report =
+    plan_cached s config ~config_sig:(config_signature config) ast
   in
-  match Plan_cache.find s.Session.cache key with
-  | Some (physical, report) ->
-    ( config,
-      physical,
-      { report with Planner.plan_cache = Some (cache_note ~hit:true s) } )
-  | None ->
-    let logical = Gopt_lang.Lowering.cypher (Session.schema s) ast in
-    let physical, report = Planner.plan config s.Session.gq logical in
-    Plan_cache.add s.Session.cache key (physical, report);
-    ( config,
-      physical,
-      { report with Planner.plan_cache = Some (cache_note ~hit:false s) } )
+  (config, physical, report)
 
 let run_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_size ?workers
-    ?vectorize ?(use_cache = true) s src =
+    ?(use_cache = true) s src =
   if not use_cache then
-    run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers ?vectorize s
+    run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s
       (cypher_to_gir ?params s src)
   else begin
     let ast = Gopt_lang.Cypher_parser.parse ?params ~defer_params:true src in
@@ -147,16 +149,15 @@ let run_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_size ?worker
       (* always run the binding pass: a deferred [$x] with no binding must
          fail with the descriptive undefined-parameter diagnostic, matching
          the parse-time substitution of the uncached path *)
-      Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers ?vectorize
+      Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers
         ~params:(Option.value params ~default:[])
         s.Session.graph physical
     in
     { result; exec_stats; report; physical }
   end
 
-let run_gremlin ?config ?profile ?budget ?chunk_size ?morsel_size ?workers ?vectorize
-    s src =
-  run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers ?vectorize s
+let run_gremlin ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s src =
+  run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s
     (gremlin_to_gir s src)
 
 let plan_cypher ?params ?config ?(use_cache = false) s src =
@@ -220,19 +221,7 @@ module Prepared = struct
 
   let execute ?params ?profile ?budget ?chunk_size ?morsel_size ?workers t =
     let s = t.session in
-    let key =
-      Fingerprint.digest ~config:t.config_sig ~epoch:s.Session.epoch t.ast
-    in
-    let physical, report =
-      match Plan_cache.find s.Session.cache key with
-      | Some (physical, report) ->
-        (physical, { report with Planner.plan_cache = Some (cache_note ~hit:true s) })
-      | None ->
-        let logical = Gopt_lang.Lowering.cypher (Session.schema s) t.ast in
-        let physical, report = Planner.plan t.config s.Session.gq logical in
-        Plan_cache.add s.Session.cache key (physical, report);
-        (physical, { report with Planner.plan_cache = Some (cache_note ~hit:false s) })
-    in
+    let physical, report = plan_cached s t.config ~config_sig:t.config_sig t.ast in
     let supplied = Option.value params ~default:[] in
     let bindings =
       supplied

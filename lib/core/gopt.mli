@@ -65,7 +65,6 @@ val run_cypher :
   ?chunk_size:int ->
   ?morsel_size:int ->
   ?workers:int ->
-  ?vectorize:bool ->
   ?use_cache:bool ->
   Session.t ->
   string ->
@@ -75,9 +74,8 @@ val run_cypher :
     matching engine profile; [budget] (CPU seconds) bounds execution;
     [chunk_size] sets the engine's pipelined batch granularity. [workers]
     executes on the morsel-driven parallel engine with that many OCaml
-    domains ([morsel_size] rows per work unit); [vectorize] (default true)
-    controls the engine's columnar expression kernels; see
-    {!Gopt_exec.Engine.run}.
+    domains ([morsel_size] rows per work unit); rows and their order are the
+    same with or without it (see {!Gopt_exec.Engine.run}).
 
     With [use_cache] (the default), the optimized plan is consulted from and
     stored into the session plan cache keyed by {!Gopt_cache.Fingerprint}:
@@ -95,7 +93,6 @@ val run_gremlin :
   ?chunk_size:int ->
   ?morsel_size:int ->
   ?workers:int ->
-  ?vectorize:bool ->
   Session.t ->
   string ->
   outcome

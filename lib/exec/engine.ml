@@ -33,10 +33,11 @@ type stats = Op_trace.stats = {
 exception Timeout = Op_trace.Timeout
 
 (* [workers = Some w] routes through the morsel-driven parallel engine even
-   for [w = 1]: the parallel path's merge ordering is deterministic in the
-   morsel partitioning (not the worker count), so results are byte-identical
-   across worker counts — but may order set-semantics results (GROUP BY
-   without ORDER BY) differently from the sequential push engine. *)
+   for [w = 1]. Both engines share every breaker's implementation
+   ([Breaker]) and fold partials in input order, so a run's rows and their
+   order are the same with or without [workers], at every worker count,
+   chunk size and morsel size (up to the rounding of SUM/AVG over
+   non-integral floats, which the morsel engine adds up per morsel). *)
 (* Parameter bindings are resolved once, at plan granularity, before either
    engine sees the plan: substituting [Param -> Const] up front keeps the
    per-row evaluators binding-free and makes prepared execution byte-identical
@@ -49,12 +50,12 @@ let resolve_params ?params plan =
      diagnostic, not the Eval safety net *)
   | Some bindings -> Gopt_opt.Physical.bind_params bindings plan
 
-let run ?profile ?budget ?chunk_size ?morsel_size ?workers ?vectorize ?params g plan =
+let run ?profile ?budget ?chunk_size ?morsel_size ?workers ?params g plan =
   let plan = resolve_params ?params plan in
   match workers with
   | Some w ->
-    Parallel.run ?profile ?budget ?chunk_size ?morsel_size ?vectorize ~workers:w g plan
-  | None -> Operator.run ?profile ?budget ?chunk_size ?vectorize g plan
+    Parallel.run ?profile ?budget ?chunk_size ?morsel_size ~workers:w g plan
+  | None -> Operator.run ?profile ?budget ?chunk_size g plan
 
 let run_materialized ?profile ?budget ?params g plan =
   Engine_reference.run ?profile ?budget g (resolve_params ?params plan)

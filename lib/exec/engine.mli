@@ -70,7 +70,6 @@ val run :
   ?chunk_size:int ->
   ?morsel_size:int ->
   ?workers:int ->
-  ?vectorize:bool ->
   ?params:(string * Gopt_graph.Value.t list) list ->
   Gopt_graph.Property_graph.t ->
   Gopt_opt.Physical.t ->
@@ -79,11 +78,9 @@ val run :
     {!graphscope_profile}; [chunk_size] is the pipelined batch granularity
     (default 1024).
 
-    [vectorize] (default [true]) compiles scan/filter predicates into
-    column-at-a-time kernels over the chunk's typed columns and turns
-    all-variable projections into column swaps; [~vectorize:false] forces
-    the row-at-a-time interpreter for every expression — results are
-    identical either way (the benchmark uses the flag as its baseline).
+    Scan and filter predicates always run as column-at-a-time kernels
+    (falling back to the row interpreter for shapes without one), and
+    all-variable projections are column swaps.
 
     [params] binds prepared-statement placeholders ({!Gopt_pattern.Expr.Param})
     before execution; each scalar placeholder must bind exactly one value.
@@ -93,12 +90,16 @@ val run :
     [workers] switches to the morsel-driven parallel engine: scans are split
     into fixed-size morsels dispatched to [workers] OCaml domains, which run
     clones of the streaming pipeline fragments; pipeline breakers merge the
-    per-worker partial states in morsel order. Results are byte-identical
-    for every [workers] value (including [1]) because all merge points
-    combine partials in morsel order — but plans whose output order is a
-    set-semantics artifact (e.g. GROUP BY without ORDER BY) may order rows
-    differently from the sequential engine. Omit [workers] for the
-    sequential push pipeline. *)
+    per-worker partial states in morsel order. Omit [workers] for the
+    sequential push pipeline.
+
+    Output order is part of the result: the same plan yields the same rows
+    in the same order with or without [workers], for every [workers],
+    [chunk_size] and [morsel_size]. GROUP BY emits groups in the order
+    their key first appears, ORDER BY is stable, and DISTINCT keeps the
+    first row of each key. The one exception is the rounding of SUM/AVG
+    over non-integral floats, which the morsel engine adds up per morsel
+    before merging. *)
 
 val run_materialized :
   ?profile:profile ->

@@ -438,19 +438,22 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
     | Physical.Group (x, ks, aggs) ->
       let input = exec common x in
       let out = Batch.create (List.map snd ks @ List.map (fun a -> a.Logical.agg_alias) aggs) in
-      let groups : (Rval.t list * Agg.state array) KeyTbl.t = KeyTbl.create 64 in
+      let groups : Agg.state array KeyTbl.t = KeyTbl.create 64 in
+      (* keys in first-sighting order, the engines' group emission order *)
+      let order = ref [] in
       Batch.iter
         (fun row ->
           tick ();
           let lk = Eval.lookup_of_row input row in
           let key = List.map (fun (e, _) -> Eval.eval_rval g lk e) ks in
-          let _, states =
+          let states =
             match KeyTbl.find_opt groups key with
-            | Some entry -> entry
+            | Some states -> states
             | None ->
-              let entry = (key, Array.of_list (List.map Agg.init aggs)) in
-              KeyTbl.add groups key entry;
-              entry
+              let states = Array.of_list (List.map Agg.init aggs) in
+              KeyTbl.add groups key states;
+              order := key :: !order;
+              states
           in
           Agg.update_all g lk states aggs)
         input;
@@ -458,11 +461,12 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
         (* aggregate over an empty input still yields one row *)
         Batch.add out (Array.of_list (List.map (fun a -> Agg.finish (Agg.init a) a) aggs))
       else
-        KeyTbl.iter
-          (fun key (_, states) ->
+        List.iter
+          (fun key ->
+            let states = KeyTbl.find groups key in
             let agg_vals = List.mapi (fun i a -> Agg.finish states.(i) a) aggs in
             Batch.add out (Array.of_list (key @ agg_vals)))
-          groups;
+          (List.rev !order);
       let r = record out in
       release common input;
       r
@@ -486,7 +490,8 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
         in
         go ks ka kb
       in
-      Array.sort cmp keyed;
+      (* stable: tied rows keep their input order, as in the engines *)
+      Array.stable_sort cmp keyed;
       let out = Batch.create (Batch.fields input) in
       let n =
         match lim with Some l -> min l (Array.length keyed) | None -> Array.length keyed

@@ -225,7 +225,7 @@ let flip_op op =
   | Expr.Geq -> Expr.Leq
   | other -> other
 
-let compile ?(vectorize = true) g ~fields e =
+let compile g ~fields e =
   let layout = Batch.create fields in
   let none_survives = { k_vectorized = true; k_run = (fun _ _ -> [||]) } in
   (* property-fetch kernel: [on_prop] decides survival from the (non-hoisted
@@ -310,4 +310,4 @@ let compile ?(vectorize = true) g ~fields e =
           (not (Value.is_null pv)) && List.exists (Value.equal pv) vs)
     | _ -> None
   in
-  if vectorize then build e else fallback g e
+  build e

@@ -43,14 +43,11 @@ val contains : sub:string -> string -> bool
 type kernel
 
 val compile :
-  ?vectorize:bool ->
   Gopt_graph.Property_graph.t ->
   fields:string list ->
   Gopt_pattern.Expr.t ->
   kernel
-(** [compile g ~fields e] compiles [e] against the given chunk layout.
-    [~vectorize:false] forces the row-interpreter fallback for the whole
-    expression (the benchmark baseline). *)
+(** [compile g ~fields e] compiles [e] against the given chunk layout. *)
 
 val run_kernel : kernel -> Batch.t -> int array -> int array
 (** [run_kernel k b cand] filters the candidate logical row indices. The

@@ -4,7 +4,9 @@
    callbacks; rows flow through pipelines in chunks of [chunk_size] rows of
    the Batch representation. Pipelines break only where semantics require
    materialization: the Hash_join build side, Group, Order, and the
-   With_common common sub-plan (Dedup streams but holds its seen-set).
+   With_common common sub-plan (Dedup streams but holds its seen-set). The
+   breakers' state and output order come from [Breaker], shared with the
+   morsel engine.
 
    Stop protocol: Limit raises the internal [Stop] exception once satisfied;
    it unwinds through the upstream operator frames to the pipeline's source
@@ -15,12 +17,10 @@
 
 module G = Gopt_graph.Property_graph
 module Schema = Gopt_graph.Schema
-module Value = Gopt_graph.Value
 module Pattern = Gopt_pattern.Pattern
 module Tc = Gopt_pattern.Type_constraint
 module Logical = Gopt_gir.Logical
 module Physical = Gopt_opt.Physical
-module KeyTbl = Agg.KeyTbl
 module Vec = Gopt_util.Vec
 
 exception Stop
@@ -33,84 +33,8 @@ type sink = {
   k_alive : unit -> bool;  (** Does anything downstream still want rows? *)
 }
 
-(* --- shared operator cores ------------------------------------------------ *)
-
-(* Hash-join core shared by this engine and the parallel engine's probe
-   stage ([Parallel]): key extraction, build-side table, and the per-row
-   probe for all four join kinds. *)
-module Join_core = struct
-  type t = {
-    table : Rval.t array list KeyTbl.t;
-    lkeys : int list;
-    rkeys : int list;
-    right_extra_pos : int list;
-    kind : Logical.join_kind;
-    out_fields : string list;
-  }
-
-  let create ~left_fields ~right_fields ~keys ~kind =
-    let l_layout = Batch.create left_fields in
-    let r_layout = Batch.create right_fields in
-    let right_extra =
-      List.filter (fun f -> not (Batch.has_field l_layout f)) right_fields
-    in
-    let out_fields =
-      match kind with
-      | Logical.Semi | Logical.Anti -> left_fields
-      | Logical.Inner | Logical.Left_outer -> left_fields @ right_extra
-    in
-    {
-      table = KeyTbl.create 64;
-      lkeys = List.map (Batch.pos l_layout) keys;
-      rkeys = List.map (Batch.pos r_layout) keys;
-      right_extra_pos = List.map (Batch.pos r_layout) right_extra;
-      kind;
-      out_fields;
-    }
-
-  (* Build rows are consed in arrival order, so matches come back in reverse
-     arrival order — identical in both engines by construction. *)
-  let build t row =
-    let key = List.map (fun p -> row.(p)) t.rkeys in
-    let cur = Option.value ~default:[] (KeyTbl.find_opt t.table key) in
-    KeyTbl.replace t.table key (row :: cur)
-
-  let size t = KeyTbl.fold (fun _ rows n -> n + List.length rows) t.table 0
-
-  let probe t lrow emit =
-    let key = List.map (fun p -> lrow.(p)) t.lkeys in
-    let matches = Option.value ~default:[] (KeyTbl.find_opt t.table key) in
-    let emit_pair rrow =
-      emit
-        (Array.append lrow
-           (Array.of_list (List.map (fun p -> rrow.(p)) t.right_extra_pos)))
-    in
-    match t.kind with
-    | Logical.Inner -> List.iter emit_pair matches
-    | Logical.Left_outer ->
-      if matches = [] then
-        emit (Array.append lrow (Array.make (List.length t.right_extra_pos) Rval.Rnull))
-      else List.iter emit_pair matches
-    | Logical.Semi -> if matches <> [] then emit lrow
-    | Logical.Anti -> if matches = [] then emit lrow
-end
-
-(* ORDER BY comparator over evaluated sort keys, shared with the parallel
-   engine's k-way merge. *)
-let compare_keys ks ka kb =
-  let rec go ks ka kb =
-    match ks, ka, kb with
-    | [], _, _ -> 0
-    | (_, dir) :: ks', a :: ka', b :: kb' ->
-      let c = Value.compare a b in
-      let c = match dir with Logical.Asc -> c | Logical.Desc -> -c in
-      if c <> 0 then c else go ks' ka' kb'
-    | _ -> 0
-  in
-  go ks ka kb
-
 let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
-    ?(chunk_size = default_chunk_size) ?(vectorize = true) ?source g plan =
+    ?(chunk_size = default_chunk_size) ?source g plan =
   let schema = G.schema g in
   let vuniv = Schema.n_vtypes schema and euniv = Schema.n_etypes schema in
   let st = Op_trace.fresh_stats () in
@@ -307,45 +231,68 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       Op_trace.timed clk tr close;
       tr
     in
-    (* streaming unary operator: per-input-row body emitting via [emit] *)
-    let streaming ?alive x tr fields on_row =
+    (* unary operator: per-input-row body emitting via [emit]. Breakers
+       also pass [finish], which emits their held state at end of input,
+       and [held], the live rows that state pins until then. *)
+    let unary ?alive ?(finish = ignore) ?(held = fun () -> 0) x tr fields on_row =
       let emit, _, close = emitter tr fields sink in
       let alive = match alive with Some f -> f | None -> sink.k_alive in
       let op =
-        mk_sink tr ~alive ~close
+        mk_sink tr ~alive
           ~consume:(fun chunk -> Batch.iter (fun row -> on_row emit row) chunk)
+          ~close:(fun () ->
+            (try finish emit with Stop -> ());
+            Op_trace.live_sub st (held ());
+            close ())
       in
       let ctr = run_plan common x op in
       tr.Op_trace.children <- [ ctr ];
       tr
     in
+    (* two-branch union (Union and With_common's C_union): [b]'s rows are
+       projected onto [fields]; the output closes once both branches have *)
+    let union2 tr fields ~b_fields ~run_a ~run_b =
+      let b_layout = Batch.create b_fields in
+      let emit, _, close = emitter tr fields sink in
+      let pending = ref 2 in
+      let branch on_row =
+        mk_sink tr ~alive:sink.k_alive
+          ~close:(fun () ->
+            decr pending;
+            if !pending = 0 then close ())
+          ~consume:(fun chunk -> Batch.iter on_row chunk)
+      in
+      let tra = run_a (branch emit) in
+      let trb = run_b (branch (fun row -> emit (Batch.project_to b_layout fields row))) in
+      (tra, trb)
+    in
     (* hash-join machinery shared by Hash_join and With_common's C_join:
        materializes the build side via [run_build], then streams the probe
        side *)
     let hash_join tr ~left_fields ~right_fields ~keys ~kind ~run_build ~run_probe =
-      let jc = Join_core.create ~left_fields ~right_fields ~keys ~kind in
+      let jc = Breaker.Join.create ~left_fields ~right_fields ~keys ~kind in
       let build_sink =
         mk_sink tr ~alive:sink.k_alive ~close:ignore
           ~consume:(fun chunk ->
             Batch.iter
               (fun row ->
                 tick ();
-                Join_core.build jc row;
+                Breaker.Join.build jc row;
                 Op_trace.live_add st 1)
               chunk)
       in
       let build_tr = run_build build_sink in
-      let emit, _, close = emitter tr jc.Join_core.out_fields sink in
+      let emit, _, close = emitter tr jc.Breaker.Join.out_fields sink in
       let probe_sink =
         mk_sink tr ~alive:sink.k_alive
           ~consume:(fun chunk ->
             Batch.iter
               (fun lrow ->
                 tick ();
-                Join_core.probe jc lrow emit)
+                Breaker.Join.probe jc lrow emit)
               chunk)
           ~close:(fun () ->
-            Op_trace.live_sub st (Join_core.size jc);
+            Op_trace.live_sub st (Breaker.Join.size jc);
             close ())
       in
       let probe_tr = run_probe probe_sink in
@@ -366,7 +313,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
     | Physical.Scan { alias; con; pred } ->
       let tr = mk_trace (label plan) in
       let fields = [ alias ] in
-      let kernel = Option.map (fun p -> Eval.compile ~vectorize g ~fields p) pred in
+      let kernel = Option.map (fun p -> Eval.compile g ~fields p) pred in
       let _, emit_chunk, close = emitter tr fields sink in
       (* vectorized scan: fill a dense id column per chunk straight from the
          type index, then narrow it with the compiled predicate kernel — no
@@ -398,7 +345,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let layout = Batch.create fields in
       let from_pos = Batch.pos layout step.Physical.s_from in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
+      unary x tr fields (fun emit row ->
           let v = vertex_of row.(from_pos) in
           iter_step_adj step v (fun eid other ->
               st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
@@ -424,7 +371,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let from_pos = Batch.pos layout step.Physical.s_from in
       let to_pos = Batch.pos layout step.Physical.s_to in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
+      unary x tr fields (fun emit row ->
           tick ();
           let u = vertex_of row.(from_pos) and w = vertex_of row.(to_pos) in
           List.iter
@@ -461,7 +408,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
           a
       in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
+      unary x tr fields (fun emit row ->
           tick ();
           let anchors = List.map (fun p -> vertex_of row.(p)) from_pos in
           let nbr_arrays =
@@ -540,7 +487,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let from_pos = Batch.pos layout step.Physical.s_from in
       let to_pos = if bound_mode then Some (Batch.pos layout step.Physical.s_to) else None in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
+      unary x tr fields (fun emit row ->
           let v0 = vertex_of row.(from_pos) in
           let target = Option.map (fun p -> vertex_of row.(p)) to_pos in
           let rec dfs v depth edges_rev verts_rev =
@@ -593,7 +540,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
     | Physical.Select (x, pred) ->
       let fields = Physical.output_fields x in
       let tr = mk_trace (label plan) in
-      let kernel = Eval.compile ~vectorize g ~fields pred in
+      let kernel = Eval.compile g ~fields pred in
       let _, emit_chunk, close = emitter tr fields sink in
       (* vectorized filter: the kernel marks survivors and the chunk is
          forwarded as a selection-vector view — no row copying *)
@@ -628,7 +575,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
           end
           | _ -> None
         in
-        if vectorize then go [] ps else None
+        go [] ps
       in
       begin
         match var_positions with
@@ -650,111 +597,37 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
           tr.Op_trace.children <- [ ctr ];
           tr
         | None ->
-          streaming x tr fields (fun emit row ->
+          unary x tr fields (fun emit row ->
               tick ();
               let lk = Eval.lookup_of_row child_layout row in
               emit (Array.of_list (List.map (fun (e, _) -> Eval.eval_rval g lk e) ps)))
       end
     | Physical.Group (x, ks, aggs) ->
-      let child_fields = Physical.output_fields x in
-      let child_layout = Batch.create child_fields in
-      let fields = List.map snd ks @ List.map (fun a -> a.Logical.agg_alias) aggs in
       let tr = mk_trace (label plan) in
-      let emit, _, close_down = emitter tr fields sink in
-      let groups : (Rval.t list * Agg.state array) KeyTbl.t = KeyTbl.create 64 in
-      let op =
-        mk_sink tr ~alive:sink.k_alive
-          ~consume:(fun chunk ->
-            Batch.iter
-              (fun row ->
-                tick ();
-                let lk = Eval.lookup_of_row child_layout row in
-                let key = List.map (fun (e, _) -> Eval.eval_rval g lk e) ks in
-                let _, states =
-                  match KeyTbl.find_opt groups key with
-                  | Some entry -> entry
-                  | None ->
-                    let entry = (key, Array.of_list (List.map Agg.init aggs)) in
-                    KeyTbl.add groups key entry;
-                    Op_trace.live_add st 1;
-                    entry
-                in
-                Agg.update_all g lk states aggs)
-              chunk)
-          ~close:(fun () ->
-            (try
-               if KeyTbl.length groups = 0 && ks = [] then
-                 (* aggregate over an empty input still yields one row *)
-                 emit (Array.of_list (List.map (fun a -> Agg.finish (Agg.init a) a) aggs))
-               else
-                 KeyTbl.iter
-                   (fun key (_, states) ->
-                     let agg_vals = List.mapi (fun i a -> Agg.finish states.(i) a) aggs in
-                     emit (Array.of_list (key @ agg_vals)))
-                   groups
-             with Stop -> ());
-            Op_trace.live_sub st (KeyTbl.length groups);
-            close_down ())
-      in
-      let ctr = run_plan common x op in
-      tr.Op_trace.children <- [ ctr ];
-      tr
+      let grp = Breaker.Group.create g ~fields:(Physical.output_fields x) ks aggs in
+      unary x tr (Breaker.Group.out_fields ks aggs)
+        ~finish:(Breaker.Group.finish grp)
+        ~held:(fun () -> Breaker.Group.length grp)
+        (fun _ row ->
+          tick ();
+          if Breaker.Group.add grp row then Op_trace.live_add st 1)
     | Physical.Order (x, ks, lim) ->
       let fields = Physical.output_fields x in
-      let layout = Batch.create fields in
       let tr = mk_trace (label plan) in
-      let emit, _, close_down = emitter tr fields sink in
-      let cmp (ka, _) (kb, _) = compare_keys ks ka kb in
-      let buf : (Value.t list * Rval.t array) Vec.t = Vec.create () in
-      (* with a limit, keep the buffer bounded: sort-and-truncate whenever it
-         overflows a small multiple of the target (amortized O(n log k)) *)
-      let prune_at =
-        match lim with Some l -> max (4 * l) chunk_size | None -> max_int
-      in
-      let truncate k =
-        Vec.sort cmp buf;
-        let kept = min k (Vec.length buf) in
-        let dropped = Vec.length buf - kept in
-        if dropped > 0 then begin
-          let keep = Array.init kept (Vec.get buf) in
-          Vec.clear buf;
-          Array.iter (Vec.push buf) keep;
-          Op_trace.live_sub st dropped
-        end
-      in
-      let op =
-        mk_sink tr ~alive:sink.k_alive
-          ~consume:(fun chunk ->
-            Batch.iter
-              (fun row ->
-                tick ();
-                let lk = Eval.lookup_of_row layout row in
-                Vec.push buf (List.map (fun (e, _) -> Eval.eval g lk e) ks, row);
-                Op_trace.live_add st 1;
-                if Vec.length buf > prune_at then
-                  truncate (match lim with Some l -> l | None -> max_int))
-              chunk)
-          ~close:(fun () ->
-            Vec.sort cmp buf;
-            let n =
-              match lim with Some l -> min l (Vec.length buf) | None -> Vec.length buf
-            in
-            (try
-               for i = 0 to n - 1 do
-                 emit (snd (Vec.get buf i))
-               done
-             with Stop -> ());
-            Op_trace.live_sub st (Vec.length buf);
-            close_down ())
-      in
-      let ctr = run_plan common x op in
-      tr.Op_trace.children <- [ ctr ];
-      tr
+      let run = Breaker.Sorted_run.create g ~fields ~chunk_size ks lim in
+      unary x tr fields
+        ~finish:(fun emit ->
+          Array.iter (fun (_, row) -> emit row) (Breaker.Sorted_run.finish run))
+        ~held:(fun () -> Breaker.Sorted_run.length run)
+        (fun _ row ->
+          tick ();
+          Op_trace.live_add st 1;
+          Op_trace.live_sub st (Breaker.Sorted_run.push run row))
     | Physical.Limit (x, n) ->
       let fields = Physical.output_fields x in
       let tr = mk_trace (label plan) in
       let count = ref 0 in
-      streaming
+      unary
         ~alive:(fun () -> !count < n && sink.k_alive ())
         x tr fields
         (fun emit row ->
@@ -768,7 +641,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let fields = Physical.output_fields x in
       let tr = mk_trace (label plan) in
       let seen = ref 0 in
-      streaming x tr fields (fun emit row ->
+      unary x tr fields (fun emit row ->
           incr seen;
           if !seen > n then emit row)
     | Physical.Unfold (x, e, alias) ->
@@ -776,7 +649,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let child_layout = Batch.create child_fields in
       let fields = child_fields @ [ alias ] in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
+      unary x tr fields (fun emit row ->
           tick ();
           let emit1 v = emit (Array.append row [| v |]) in
           match Eval.eval_rval g (Eval.lookup_of_row child_layout row) e with
@@ -786,41 +659,22 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
           | single -> emit1 single)
     | Physical.Dedup (x, tags) ->
       let fields = Physical.output_fields x in
-      let layout = Batch.create fields in
-      let positions =
-        match tags with
-        | [] -> List.init (List.length fields) Fun.id
-        | tags -> List.map (Batch.pos layout) tags
-      in
       let tr = mk_trace (label plan) in
-      let seen = KeyTbl.create 64 in
-      let emit, _, close_down = emitter tr fields sink in
-      let op =
-        mk_sink tr ~alive:sink.k_alive
-          ~consume:(fun chunk ->
-            Batch.iter
-              (fun row ->
-                tick ();
-                let key = List.map (fun p -> row.(p)) positions in
-                if not (KeyTbl.mem seen key) then begin
-                  KeyTbl.add seen key ();
-                  Op_trace.live_add st 1;
-                  emit row
-                end)
-              chunk)
-          ~close:(fun () ->
-            Op_trace.live_sub st (KeyTbl.length seen);
-            close_down ())
-      in
-      let ctr = run_plan common x op in
-      tr.Op_trace.children <- [ ctr ];
-      tr
+      let dd = Breaker.Dedup.create ~fields tags in
+      unary x tr fields
+        ~held:(fun () -> Breaker.Dedup.length dd)
+        (fun emit row ->
+          tick ();
+          if Breaker.Dedup.add dd row then begin
+            Op_trace.live_add st 1;
+            emit row
+          end)
     | Physical.All_distinct (x, distinct_fields) ->
       let fields = Physical.output_fields x in
       let layout = Batch.create fields in
       let positions = List.map (Batch.pos layout) distinct_fields in
       let tr = mk_trace (label plan) in
-      streaming x tr fields (fun emit row ->
+      unary x tr fields (fun emit row ->
           tick ();
           let ids = List.concat_map (fun p -> Rval.edge_ids row.(p)) positions in
           let distinct =
@@ -836,24 +690,12 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
           in
           if distinct then emit row)
     | Physical.Union (a, b) ->
-      let fields = Physical.output_fields a in
-      let b_layout = Batch.create (Physical.output_fields b) in
       let tr = mk_trace (label plan) in
       (* forwarding node: counts the combined stream once, like the
          materialized engine recorded the concatenated batch *)
-      let emit, _, close = emitter tr fields sink in
-      let pending = ref 2 in
-      let branch_close () =
-        decr pending;
-        if !pending = 0 then close ()
-      in
-      let branch on_row =
-        mk_sink tr ~alive:sink.k_alive ~close:branch_close
-          ~consume:(fun chunk -> Batch.iter on_row chunk)
-      in
-      let tra = run_plan common a (branch emit) in
-      let trb =
-        run_plan common b (branch (fun row -> emit (Batch.project_to b_layout fields row)))
+      let tra, trb =
+        union2 tr (Physical.output_fields a) ~b_fields:(Physical.output_fields b)
+          ~run_a:(run_plan common a) ~run_b:(run_plan common b)
       in
       tr.Op_trace.children <- [ tra; trb ];
       tr
@@ -866,24 +708,9 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let l_tr, r_tr =
         match combine with
         | Logical.C_union ->
-          let fields = Physical.output_fields left in
-          let r_layout = Batch.create (Physical.output_fields right) in
-          let emit, _, close = emitter tr fields sink in
-          let pending = ref 2 in
-          let branch_close () =
-            decr pending;
-            if !pending = 0 then close ()
-          in
-          let branch on_row =
-            mk_sink tr ~alive:sink.k_alive ~close:branch_close
-              ~consume:(fun chunk -> Batch.iter on_row chunk)
-          in
-          let l_tr = run_plan inner left (branch emit) in
-          let r_tr =
-            run_plan inner right
-              (branch (fun row -> emit (Batch.project_to r_layout fields row)))
-          in
-          (l_tr, r_tr)
+          union2 tr (Physical.output_fields left)
+            ~b_fields:(Physical.output_fields right)
+            ~run_a:(run_plan inner left) ~run_b:(run_plan inner right)
         | Logical.C_join (keys, kind) ->
           let build_tr, probe_tr =
             hash_join tr

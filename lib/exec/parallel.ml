@@ -7,10 +7,11 @@
    domain pool pulls morsel indices off an atomic counter, running a private
    clone of the fragment per morsel through the ordinary push engine
    ([Operator.run] with a [Common_ref] leaf fed via [?source]). Pipeline
-   breakers become {e merge points} on the coordinating domain: partial
-   aggregation states combine via [Agg.merge], sorted runs combine via a
-   k-way merge, Dedup re-filters local survivors against a global seen-set,
-   and the hash-join build side is materialized once and probed read-only by
+   breakers become {e merge points} on the coordinating domain, built from
+   the same [Breaker] cores the sequential engine uses: partial group
+   tables merge in first-sighting order, sorted runs combine via a k-way
+   merge, Dedup re-filters local survivors against a global seen-set, and
+   the hash-join build side is materialized once and probed read-only by
    all workers.
 
    Determinism: morsel partitioning depends only on the plan, the graph and
@@ -18,9 +19,10 @@
    per-morsel partials in morsel-index order. Per-morsel work is sequential
    and deterministic, so the full result (including float-summation order,
    COLLECT order, and ORDER BY tie resolution) is byte-identical for every
-   [workers] value. Plans whose output order is a set-semantics artifact
-   (e.g. GROUP BY without ORDER BY) may order rows differently from the
-   sequential engine; differential tests compare those as bags.
+   [workers] value. Folding in morsel order is also how the sequential
+   engine meets each row, so its output has the same rows in the same
+   order; only SUM/AVG over non-integral floats may round differently,
+   since they are added up per morsel before merging.
 
    Accounting: rows handed from a morsel task to its merge point count as
    {e exchange} rows ([stats.exchange_rows]); profiles with [parallel =
@@ -31,13 +33,10 @@
 
 module G = Gopt_graph.Property_graph
 module Schema = Gopt_graph.Schema
-module Value = Gopt_graph.Value
 module Expr = Gopt_pattern.Expr
 module Tc = Gopt_pattern.Type_constraint
 module Logical = Gopt_gir.Logical
 module Physical = Gopt_opt.Physical
-module KeyTbl = Agg.KeyTbl
-module Vec = Gopt_util.Vec
 
 let default_morsel_size = 1024
 
@@ -79,7 +78,7 @@ type 'a task_result = {
 
 let run ?(profile = Op_trace.graphscope_profile) ?budget
     ?(chunk_size = Operator.default_chunk_size)
-    ?(morsel_size = default_morsel_size) ?(vectorize = true) ~workers g plan =
+    ?(morsel_size = default_morsel_size) ~workers g plan =
   if workers < 1 then invalid_arg "Parallel.run: workers must be >= 1";
   if morsel_size < 1 then invalid_arg "Parallel.run: morsel_size must be >= 1";
   let schema = G.schema g in
@@ -143,7 +142,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
             let out, fs =
               Operator.run ~profile ?budget:(remaining_budget ())
                 ~stop_poll:(fun () -> Atomic.get cancelled)
-                ~chunk_size ~vectorize ~source g frag
+                ~chunk_size ~source g frag
             in
             (out, Some fs, fs.Op_trace.op_trace)
           end
@@ -335,7 +334,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
     in
     match p with
     | Physical.Scan { alias; con; pred } ->
-      let kernel = Option.map (fun p -> Eval.compile ~vectorize g ~fields:[ alias ] p) pred in
+      let kernel = Option.map (fun p -> Eval.compile g ~fields:[ alias ] p) pred in
       let morsels = ref [] in
       List.iter
         (fun t ->
@@ -396,15 +395,15 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
     let join_probe env lbl ~left ~right_batch ~keys ~kind extra_traces =
       let s = psource env left in
       let jc =
-        Operator.Join_core.create ~left_fields:s.s_fields
+        Breaker.Join.create ~left_fields:s.s_fields
           ~right_fields:(Batch.fields right_batch) ~keys ~kind
       in
-      Batch.iter (fun row -> Operator.Join_core.build jc row) right_batch;
+      Batch.iter (fun row -> Breaker.Join.build jc row) right_batch;
       Op_trace.live_add st (Batch.n_rows right_batch);
-      let out_fields = jc.Operator.Join_core.out_fields in
+      let out_fields = jc.Breaker.Join.out_fields in
       let post b =
         let out = Batch.create out_fields in
-        Batch.iter (fun lrow -> Operator.Join_core.probe jc lrow (Batch.add out)) b;
+        Batch.iter (fun lrow -> Breaker.Join.probe jc lrow (Batch.add out)) b;
         (out, Batch.n_rows out)
       in
       let parts, xnode =
@@ -418,140 +417,56 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
     match p with
     | Physical.Group (x, ks, aggs) ->
       let s = psource env x in
-      let child_layout = Batch.create s.s_fields in
-      let out_fields = List.map snd ks @ List.map (fun a -> a.Logical.agg_alias) aggs in
+      let out_fields = Breaker.Group.out_fields ks aggs in
       let post b =
-        let tbl : Agg.state array KeyTbl.t = KeyTbl.create 64 in
-        let order : Rval.t list Vec.t = Vec.create () in
-        Batch.iter
-          (fun row ->
-            let lk = Eval.lookup_of_row child_layout row in
-            let key = List.map (fun (e, _) -> Eval.eval_rval g lk e) ks in
-            let states =
-              match KeyTbl.find_opt tbl key with
-              | Some states -> states
-              | None ->
-                let states = Array.of_list (List.map Agg.init aggs) in
-                KeyTbl.add tbl key states;
-                Vec.push order key;
-                states
-            in
-            Agg.update_all g lk states aggs)
-          b;
-        ((tbl, order), Vec.length order)
+        let grp = Breaker.Group.create g ~fields:s.s_fields ks aggs in
+        Batch.iter (fun row -> ignore (Breaker.Group.add grp row)) b;
+        (grp, Breaker.Group.length grp)
       in
       let parts, xnode =
         run_morsels ~label:lbl ~out_width:(List.length out_fields) s post
       in
-      (* merge partial states in morsel order; key order = first sighting *)
-      let tbl : Agg.state array KeyTbl.t = KeyTbl.create 64 in
-      let order : Rval.t list Vec.t = Vec.create () in
-      Array.iter
-        (fun (ptbl, porder) ->
-          Vec.iter
-            (fun key ->
-              let pstates = KeyTbl.find ptbl key in
-              match KeyTbl.find_opt tbl key with
-              | Some states ->
-                List.iteri (fun i a -> Agg.merge states.(i) pstates.(i) a) aggs
-              | None ->
-                KeyTbl.add tbl key pstates;
-                Vec.push order key)
-            porder)
-        parts;
+      (* merge partial tables in morsel order: keys keep first sighting *)
+      let grp = Breaker.Group.create g ~fields:s.s_fields ks aggs in
+      Array.iter (Breaker.Group.merge grp) parts;
       let out = Batch.create out_fields in
-      if Vec.length order = 0 && ks = [] then
-        (* aggregate over an empty input still yields one row *)
-        Batch.add out (Array.of_list (List.map (fun a -> Agg.finish (Agg.init a) a) aggs))
-      else
-        Vec.iter
-          (fun key ->
-            let states = KeyTbl.find tbl key in
-            let agg_vals = List.mapi (fun i a -> Agg.finish states.(i) a) aggs in
-            Batch.add out (Array.of_list (key @ agg_vals)))
-          order;
+      Breaker.Group.finish grp (Batch.add out);
       count_rows (Batch.n_rows out) (List.length out_fields);
       mk_node lbl [ xnode ] out
     | Physical.Order (x, ks, lim) ->
       let s = psource env x in
-      let layout = Batch.create s.s_fields in
       let width = List.length s.s_fields in
-      let cmp (ka, _) (kb, _) = Operator.compare_keys ks ka kb in
       let post b =
-        let v : (Value.t list * Rval.t array) Vec.t = Vec.create () in
-        Batch.iter
-          (fun row ->
-            let lk = Eval.lookup_of_row layout row in
-            Vec.push v (List.map (fun (e, _) -> Eval.eval g lk e) ks, row))
-          b;
-        Vec.sort cmp v;
+        let run = Breaker.Sorted_run.create g ~fields:s.s_fields ~chunk_size ks lim in
+        Batch.iter (fun row -> ignore (Breaker.Sorted_run.push run row)) b;
         (* any row beyond the limit within its own run cannot make the
            global top-k *)
-        let keep = match lim with Some l -> min l (Vec.length v) | None -> Vec.length v in
-        (Array.init keep (Vec.get v), keep)
+        let sorted = Breaker.Sorted_run.finish run in
+        (sorted, Array.length sorted)
       in
       let parts, xnode = run_morsels ~label:lbl ~out_width:width s post in
-      (* k-way merge of the sorted runs; ties resolve to the lower morsel
-         index, making tie order independent of the worker count *)
-      let m = Array.length parts in
-      let idx = Array.make m 0 in
-      let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 parts in
-      let keep = match lim with Some l -> min l total | None -> total in
+      (* ties resolve to the lower morsel index, making tie order independent
+         of the worker count *)
       let out = Batch.create s.s_fields in
-      for _ = 1 to keep do
-        let best = ref (-1) in
-        for i = 0 to m - 1 do
-          if idx.(i) < Array.length parts.(i) then
-            if !best < 0 then best := i
-            else begin
-              let ka, _ = parts.(i).(idx.(i)) in
-              let kb, _ = parts.(!best).(idx.(!best)) in
-              if Operator.compare_keys ks ka kb < 0 then best := i
-            end
-        done;
-        let _, row = parts.(!best).(idx.(!best)) in
-        idx.(!best) <- idx.(!best) + 1;
-        Batch.add out row
-      done;
-      count_rows keep width;
+      Breaker.Sorted_run.merge ks lim parts (Batch.add out);
+      count_rows (Batch.n_rows out) width;
       mk_node lbl [ xnode ] out
     | Physical.Dedup (x, tags) ->
       let s = psource env x in
-      let layout = Batch.create s.s_fields in
       let width = List.length s.s_fields in
-      let positions =
-        match tags with
-        | [] -> List.init width Fun.id
-        | tags -> List.map (Batch.pos layout) tags
+      let dedup dd b out =
+        Batch.iter (fun row -> if Breaker.Dedup.add dd row then Batch.add out row) b
       in
-      let key_of row = List.map (fun pos -> row.(pos)) positions in
       let post b =
-        let local : unit KeyTbl.t = KeyTbl.create 64 in
         let out = Batch.create s.s_fields in
-        Batch.iter
-          (fun row ->
-            let key = key_of row in
-            if not (KeyTbl.mem local key) then begin
-              KeyTbl.add local key ();
-              Batch.add out row
-            end)
-          b;
+        dedup (Breaker.Dedup.create ~fields:s.s_fields tags) b out;
         (out, Batch.n_rows out)
       in
       let parts, xnode = run_morsels ~label:lbl ~out_width:width s post in
-      let seen : unit KeyTbl.t = KeyTbl.create 64 in
+      (* re-filter each morsel's local survivors against one global seen-set *)
+      let seen = Breaker.Dedup.create ~fields:s.s_fields tags in
       let out = Batch.create s.s_fields in
-      Array.iter
-        (fun pb ->
-          Batch.iter
-            (fun row ->
-              let key = key_of row in
-              if not (KeyTbl.mem seen key) then begin
-                KeyTbl.add seen key ();
-                Batch.add out row
-              end)
-            pb)
-        parts;
+      Array.iter (fun pb -> dedup seen pb out) parts;
       count_rows (Batch.n_rows out) width;
       mk_node lbl [ xnode ] out
     | Physical.Hash_join { left; right; keys; kind } ->

@@ -56,7 +56,10 @@ let tokenize src =
         done;
         push (Float_lit (float_of_string (String.sub src start (!pos - start))))
       end
-      else push (Int_lit (int_of_string (String.sub src start (!pos - start))))
+      else
+        match int_of_string_opt (String.sub src start (!pos - start)) with
+        | Some n -> push (Int_lit n)
+        | None -> raise (Lex_error ("integer literal out of range", start))
     end
     else if c = '\'' || c = '"' then begin
       let quote = c in

@@ -68,5 +68,5 @@ let append dst src = iter (push dst) src
 
 let sort cmp t =
   let a = to_array t in
-  Array.sort cmp a;
+  Array.stable_sort cmp a;
   Array.blit a 0 t.data 0 t.len

@@ -48,4 +48,5 @@ val append : 'a t -> 'a t -> unit
 (** [append dst src] pushes all of [src] onto [dst]. *)
 
 val sort : ('a -> 'a -> int) -> 'a t -> unit
-(** In-place sort of the live prefix. *)
+(** In-place stable sort of the live prefix: equal elements keep their
+    insertion order. *)

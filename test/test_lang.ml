@@ -30,6 +30,23 @@ let test_lexer () =
     Alcotest.fail "expected lex error"
   with L.Lex_error _ -> ()
 
+(* an integer literal beyond max_int is a positioned lex error, including
+   through the facade, never a raw [Failure] *)
+let test_int_overflow () =
+  let src = "MATCH (a:Person) WHERE a.age = 99999999999999999999 RETURN a" in
+  let expect_lex_error f =
+    match f () with
+    | _ -> Alcotest.fail "expected lex error"
+    | exception L.Lex_error (msg, pos) ->
+      Alcotest.(check string) "message" "integer literal out of range" msg;
+      Alcotest.(check int) "offset" 31 pos
+  in
+  expect_lex_error (fun () -> ignore (L.tokenize src));
+  let session = Gopt.Session.create graph in
+  expect_lex_error (fun () -> ignore (Gopt.run_cypher session src));
+  Alcotest.(check bool) "max_int still lexes" true
+    (L.tokenize (string_of_int max_int) = [| L.Int_lit max_int; L.Eof |])
+
 let test_parse_simple_match () =
   let plan = lower "MATCH (a:Person)-[k:KNOWS]->(b:Person) RETURN a.name AS n" in
   check_ok plan;
@@ -308,7 +325,11 @@ let test_cross_language_same_gir () =
 let () =
   Alcotest.run "lang"
     [
-      ("lexer", [ Alcotest.test_case "tokens" `Quick test_lexer ]);
+      ( "lexer",
+        [
+          Alcotest.test_case "tokens" `Quick test_lexer;
+          Alcotest.test_case "integer overflow" `Quick test_int_overflow;
+        ] );
       ( "cypher",
         [
           Alcotest.test_case "simple match" `Quick test_parse_simple_match;

@@ -3,18 +3,20 @@
 
    The core claims under test:
 
-   1. Worker-count invisibility — for any plan, [run ~workers:1] and
-      [run ~workers:4] produce BYTE-IDENTICAL output (same rows, same
-      order, same float bit patterns), because morsel partitioning depends
-      only on (plan, graph, morsel_size) and every merge point folds
-      partials in morsel-index order.
+   1. One output order — for any plan, the sequential [run],
+      [run ~workers:1] and [run ~workers:4] produce BYTE-IDENTICAL output
+      (same rows, same order): every breaker has one implementation shared
+      by both engines, morsel partitioning depends only on (plan, graph,
+      morsel_size), and every merge point folds partials in morsel-index
+      order. Between worker counts this includes float bit patterns; the
+      sequential engine matches them here because every property summed is
+      an integer, so float sums are exact.
 
-   2. Agreement with the sequential engines — the parallel result is the
-      same bag of rows as [Engine.run_materialized] (and hence the
-      pipelined sequential engine, which test_exec already checks against
-      it). Plans that cut at possibly-tied boundaries (LIMIT / SKIP /
-      fused top-k) may legitimately keep a different subset of tied rows,
-      so those queries compare by cardinality instead.
+   2. Agreement with the oracle — the result is the same bag of rows as
+      [Engine.run_materialized]. Plans that cut at possibly-tied
+      boundaries (LIMIT / SKIP / fused top-k) may keep a different subset
+      of tied rows in the oracle, whose joins build on either side, so
+      those queries compare by cardinality instead.
 
    Claims are exercised on ~220 randomly generated Cypher queries
    (see [Gen_query]; failures print the seed and the query so runs can be
@@ -98,20 +100,25 @@ let canon_rows b =
   Batch.iter (fun row -> rows := Array.to_list row :: !rows) b;
   List.sort (List.compare Rval.compare) !rows
 
-(* One differential check: workers:1 vs workers:4 byte-identical (at the
-   given pipelined chunk granularity), the row-interpreter path
-   byte-identical to the kernels, then all against the materialized oracle
-   (bag equality, or cardinality when the plan cuts on possibly-tied
-   boundaries). *)
-let check_one ?chunk_size ~name ~g physical =
-  let b1, _ = Engine.run ?chunk_size ~workers:1 ~morsel_size:16 g physical in
-  let b4, s4 = Engine.run ?chunk_size ~workers:4 ~morsel_size:16 g physical in
+(* The sequential engine and the morsel engine at 1 and 4 workers render
+   byte-identically (at the given pipelined chunk granularity); returns the
+   4-worker run. *)
+let check_same_order ?chunk_size ~morsel_size ~name ~g physical =
+  let b_seq, _ = Engine.run ?chunk_size g physical in
+  let b1, _ = Engine.run ?chunk_size ~workers:1 ~morsel_size g physical in
+  let b4, s4 = Engine.run ?chunk_size ~workers:4 ~morsel_size g physical in
+  Alcotest.(check string)
+    (name ^ ": sequential = workers 1")
+    (render g b_seq) (render g b1);
   Alcotest.(check string) (name ^ ": workers 1 = workers 4") (render g b1) (render g b4);
   Alcotest.(check bool) (name ^ ": parallel trace present") true (s4.Engine.op_trace <> None);
-  let b_nv, _ =
-    Engine.run ?chunk_size ~workers:4 ~morsel_size:16 ~vectorize:false g physical
-  in
-  Alcotest.(check string) (name ^ ": vectorize off = on") (render g b4) (render g b_nv);
+  b4
+
+(* One differential check: sequential, workers:1 and workers:4
+   byte-identical, then against the materialized oracle (bag equality, or
+   cardinality when the plan cuts on possibly-tied boundaries). *)
+let check_one ?chunk_size ~name ~g physical =
+  let b4 = check_same_order ?chunk_size ~morsel_size:16 ~name ~g physical in
   let b_mat, _ = Engine.run_materialized g physical in
   Alcotest.(check (list string))
     (name ^ ": fields vs oracle") (Batch.fields b_mat) (Batch.fields b4);
@@ -123,7 +130,7 @@ let check_one ?chunk_size ~name ~g physical =
       true
       (List.equal (List.equal Rval.equal) (canon_rows b_mat) (canon_rows b4))
 
-(* satellite 1: ~220 random queries through the full pipeline *)
+(* ~220 random queries through the full pipeline *)
 let n_random = 220
 
 let test_random_differential () =
@@ -148,8 +155,8 @@ let test_random_differential () =
         (Printexc.to_string e) q
   done
 
-(* satellite 1 (workload half): the full LDBC workload suite at workers=4
-   matches workers=1 exactly, and the oracle up to tie cuts *)
+(* the full LDBC workload suite: sequential, workers=1 and workers=4 match
+   exactly at chunk sizes 1, 7 and 1024, and the oracle up to tie cuts *)
 module Queries = Gopt_workloads.Queries
 
 let test_workload_differential () =
@@ -162,17 +169,7 @@ let test_workload_differential () =
       List.iter
         (fun chunk_size ->
           let name = Printf.sprintf "%s (chunk=%d)" q.Queries.name chunk_size in
-          let b1, _ = Engine.run ~chunk_size ~workers:1 ~morsel_size:32 g physical in
-          let b4, _ = Engine.run ~chunk_size ~workers:4 ~morsel_size:32 g physical in
-          Alcotest.(check string)
-            (name ^ ": workers 1 = workers 4")
-            (render g b1) (render g b4);
-          let b_nv, _ =
-            Engine.run ~chunk_size ~workers:4 ~morsel_size:32 ~vectorize:false g
-              physical
-          in
-          Alcotest.(check string) (name ^ ": vectorize off = on") (render g b4)
-            (render g b_nv);
+          let b4 = check_same_order ~chunk_size ~morsel_size:32 ~name ~g physical in
           Alcotest.(check (list string))
             (name ^ ": fields vs oracle")
             (Batch.fields b_mat) (Batch.fields b4);
@@ -188,7 +185,7 @@ let test_workload_differential () =
         [ 1; 7; 1024 ])
     (Queries.comprehensive @ Queries.qr @ Queries.qt @ Queries.qc)
 
-(* satellite 4: repeated runs with different worker counts are byte-identical —
+(* repeated runs with different worker counts are byte-identical —
    including LIMIT + ORDER BY (tie-cutting top-k) and top-level aggregation
    (float-summing merge), the two places nondeterminism would show first *)
 let determinism_queries =
