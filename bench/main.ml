@@ -672,7 +672,7 @@ let parallel () =
           List.map
             (fun w ->
               let t, b, s = time w in
-              if Batch.n_rows b <> Batch.n_rows b1 then
+              if H.render graph b <> H.render graph b1 then
                 failwith (Printf.sprintf "%s: workers=%d changed the result!" name w);
               (w, t, s))
             worker_counts
@@ -705,13 +705,13 @@ let parallel () =
    GOPT_BENCH_CACHE_CONSULTS consults through the cache (first misses and
    plans, the rest hit), with the hit rate taken from the cache's own
    counters. The cached plan is also executed at workers 1 and 4 and the
-   rendered results compared byte-for-byte. Emits BENCH_plan_cache.json. *)
+   results, fully rendered (every row, in order), compared byte-for-byte.
+   Emits BENCH_plan_cache.json. *)
 let plan_cache_bench () =
   let session = H.ldbc_session H.bench_persons in
   let graph = Gopt.Session.graph session in
   let consults = max 2 (H.env_int "GOPT_BENCH_CACHE_CONSULTS" 10_000) in
   let queries = Queries.comprehensive @ Queries.qr @ Queries.qt @ Queries.qc in
-  let render b = Format.asprintf "%a" (Batch.pp graph) b in
   let time f =
     let t0 = Sys.time () in
     let r = f () in
@@ -744,7 +744,7 @@ let plan_cache_bench () =
         match
           let b1, _ = Engine.run ~budget:H.bench_budget ~workers:1 graph physical in
           let b4, _ = Engine.run ~budget:H.bench_budget ~workers:4 graph physical in
-          render b1 = render b4
+          H.render graph b1 = H.render graph b4
         with
         | true -> "yes"
         | false -> "NO"

@@ -96,9 +96,15 @@ let run_lint session config lang workload query =
     !n_errors;
   if !n_errors > 0 then 1 else 0
 
+(* A worker count below 1 is a usage error, like an unknown --workload. *)
+let valid_workers workers =
+  if workers < 1 then
+    Printf.eprintf "--workers must be at least 1 (got %d)\n" workers;
+  workers >= 1
+
 let run_main dataset persons accounts seed lang planner backend workers chunk_size
     explain analyze stats_only lint workload repeat cache_stats load save query =
-  if not (known_workload workload) then 2
+  if not (known_workload workload && valid_workers workers) then 2
   else
   let graph =
     match load with
@@ -150,11 +156,10 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
       0
     end
     else begin
-      let workers = if workers <= 0 then None else Some workers in
       let run () =
         match lang with
-        | "cypher" -> Gopt.run_cypher ~config ?chunk_size ?workers session query
-        | "gremlin" -> Gopt.run_gremlin ~config ?chunk_size ?workers session query
+        | "cypher" -> Gopt.run_cypher ~config ?chunk_size ~workers session query
+        | "gremlin" -> Gopt.run_gremlin ~config ?chunk_size ~workers session query
         | other -> failwith (Printf.sprintf "unknown language %S (cypher|gremlin)" other)
       in
       let t0 = Sys.time () in
@@ -219,11 +224,11 @@ let backend =
   Arg.(value & opt string "graphscope" & info [ "backend" ] ~doc:"graphscope or neo4j")
 let workers =
   Arg.(
-    value & opt int 0
-    & info [ "workers" ]
+    value & opt int 1
+    & info [ "workers" ] ~docv:"N"
         ~doc:
-          "execute on the morsel-driven parallel engine with $(docv) OCaml domains \
-           (0 = sequential pipeline). Results are deterministic across worker counts; \
+          "execute on $(docv) OCaml domains (default 1: morsels run in order on this \
+           domain, with no exchange). Results are identical for every worker count; \
            speedup requires a multi-core machine")
 let chunk_size =
   Arg.(

@@ -136,25 +136,19 @@ let plan_ast_cached ?config (s : Session.t) ast =
   in
   (config, physical, report)
 
-let run_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_size ?workers
-    ?(use_cache = true) s src =
-  if not use_cache then
-    run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s
-      (cypher_to_gir ?params s src)
-  else begin
-    let ast = Gopt_lang.Cypher_parser.parse ?params ~defer_params:true src in
-    let config, physical, report = plan_ast_cached ?config s ast in
-    let profile = match profile with Some p -> p | None -> profile_for config in
-    let result, exec_stats =
-      (* always run the binding pass: a deferred [$x] with no binding must
-         fail with the descriptive undefined-parameter diagnostic, matching
-         the parse-time substitution of the uncached path *)
-      Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers
-        ~params:(Option.value params ~default:[])
-        s.Session.graph physical
-    in
-    { result; exec_stats; report; physical }
-  end
+let run_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s src =
+  let ast = Gopt_lang.Cypher_parser.parse ?params ~defer_params:true src in
+  let config, physical, report = plan_ast_cached ?config s ast in
+  let profile = match profile with Some p -> p | None -> profile_for config in
+  let result, exec_stats =
+    (* always run the binding pass: a deferred [$x] with no binding must
+       fail with the descriptive undefined-parameter diagnostic, matching
+       the parse-time substitution of the uncached path *)
+    Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers
+      ~params:(Option.value params ~default:[])
+      s.Session.graph physical
+  in
+  { result; exec_stats; report; physical }
 
 let run_gremlin ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s src =
   run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s
@@ -297,8 +291,7 @@ let explain_analyze_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_
       o.exec_stats.Engine.edges_touched o.exec_stats.Engine.peak_rows
   in
   let txt =
-    if o.exec_stats.Engine.workers_used > 1 || o.exec_stats.Engine.exchange_rows > 0
-    then
+    if o.exec_stats.Engine.workers_used > 1 then
       txt
       ^ Printf.sprintf "\n%d workers, %d exchange rows (%d cells)"
           o.exec_stats.Engine.workers_used o.exec_stats.Engine.exchange_rows

@@ -65,7 +65,6 @@ val run_cypher :
   ?chunk_size:int ->
   ?morsel_size:int ->
   ?workers:int ->
-  ?use_cache:bool ->
   Session.t ->
   string ->
   outcome
@@ -73,18 +72,29 @@ val run_cypher :
     full GOpt pipeline on the GraphScope spec; [profile] defaults to the
     matching engine profile; [budget] (CPU seconds) bounds execution;
     [chunk_size] sets the engine's pipelined batch granularity. [workers]
-    executes on the morsel-driven parallel engine with that many OCaml
-    domains ([morsel_size] rows per work unit); rows and their order are the
-    same with or without it (see {!Gopt_exec.Engine.run}).
+    (default 1) is the number of OCaml domains the engine runs on, with
+    [morsel_size] rows per work unit; rows and their order are the same for
+    every worker count (see {!Gopt_exec.Engine.run}).
 
-    With [use_cache] (the default), the optimized plan is consulted from and
-    stored into the session plan cache keyed by {!Gopt_cache.Fingerprint}:
-    repeated templates skip RBO/inference/CBO entirely, and scalar [$name]
-    parameters stay symbolic in the cached plan (bound per execution), so
-    runs differing only in scalar parameter values share one plan.
-    [report.plan_cache] records whether this run hit. [~use_cache:false]
-    restores stateless parse-substitute-optimize-execute (the cold path
-    differential tests compare against). *)
+    The optimized plan is consulted from and stored into the session plan
+    cache keyed by {!Gopt_cache.Fingerprint}: repeated templates skip
+    RBO/inference/CBO entirely, and scalar [$name] parameters stay symbolic
+    in the cached plan (bound per execution), so runs differing only in
+    scalar parameter values share one plan. [report.plan_cache] records
+    whether this run hit. The stateless parse-substitute-optimize-execute
+    path is {!run_logical} over {!cypher_to_gir}. *)
+
+val run_logical :
+  ?config:Gopt_opt.Planner.config ->
+  ?profile:Gopt_exec.Engine.profile ->
+  ?budget:float ->
+  ?chunk_size:int ->
+  ?morsel_size:int ->
+  ?workers:int ->
+  Session.t ->
+  Gopt_gir.Logical.t ->
+  outcome
+(** Optimize and execute a logical plan, bypassing the plan cache. *)
 
 val run_gremlin :
   ?config:Gopt_opt.Planner.config ->
@@ -181,9 +191,10 @@ val explain_analyze_cypher :
   string ->
   outcome * string
 (** Optimize {e and} execute, returning the outcome together with a report
-    combining the physical plan with the measured per-operator trace. On
-    parallel runs the trace contains exchange nodes with per-worker
-    rollups, and a summary line reports worker and exchange-row counts. *)
+    combining the physical plan with the measured per-operator trace. With
+    several [workers] the trace contains one exchange node per stage, with
+    one leaf per worker, and a summary line reports worker and exchange-row
+    counts. *)
 
 val cypher_to_gir :
   ?params:(string * Gopt_graph.Value.t list) list ->

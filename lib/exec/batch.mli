@@ -114,8 +114,8 @@ val concat : string list -> t list -> t
 (** [concat fields bs] is a fresh batch with layout [fields] holding the
     rows of every batch of [bs] in order, built by column-wise appends.
     Each input batch must have exactly the layout [fields] (raises
-    [Invalid_argument] otherwise). The exchange merge of the parallel
-    engine. *)
+    [Invalid_argument] otherwise). Assembles the engine's final result from
+    its per-morsel parts. *)
 
 val pp : Gopt_graph.Property_graph.t -> Format.formatter -> t -> unit
 (** Tabular rendering (for examples and debugging); truncates long

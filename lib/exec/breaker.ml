@@ -1,10 +1,11 @@
-(* Pipeline-breaker cores shared by the pipelined engine ([Operator]) and the
-   morsel engine ([Parallel]): the hash-join table, the first-sighting group
-   table, sorted runs with their k-way merge, and the Dedup seen-set. Each
-   breaker's semantics — its output order included — lives here once, which
-   is what makes a sequential run byte-identical to a morsel run at any
-   worker count. The drivers only decide where rows come from and where the
-   breaker's output goes. *)
+(* Pipeline-breaker cores of the execution engine: the hash-join table, the
+   first-sighting group table, sorted runs with their k-way merge, and the
+   Dedup seen-set. Each breaker's semantics — its output order included —
+   lives here once. Every state can be fed directly or as per-morsel
+   partials merged in morsel order, with the same result, which is what
+   makes a one-worker run byte-identical to a run at any worker count.
+   [Parallel] decides where rows come from and where a breaker's output
+   goes; [Operator] probes a built join table. *)
 
 module G = Gopt_graph.Property_graph
 module Value = Gopt_graph.Value
@@ -17,6 +18,7 @@ module Vec = Gopt_util.Vec
 module Join = struct
   type t = {
     table : Rval.t array list KeyTbl.t;
+    mutable rows : int;  (** Build rows held. *)
     lkeys : int list;
     rkeys : int list;
     right_extra_pos : int list;
@@ -37,6 +39,7 @@ module Join = struct
     in
     {
       table = KeyTbl.create 64;
+      rows = 0;
       lkeys = List.map (Batch.pos l_layout) keys;
       rkeys = List.map (Batch.pos r_layout) keys;
       right_extra_pos = List.map (Batch.pos r_layout) right_extra;
@@ -49,9 +52,20 @@ module Join = struct
   let build t row =
     let key = List.map (fun p -> row.(p)) t.rkeys in
     let cur = Option.value ~default:[] (KeyTbl.find_opt t.table key) in
-    KeyTbl.replace t.table key (row :: cur)
+    KeyTbl.replace t.table key (row :: cur);
+    t.rows <- t.rows + 1
 
-  let size t = KeyTbl.fold (fun _ rows n -> n + List.length rows) t.table 0
+  let size t = t.rows
+
+  (* Fold partial table [p] into [t], as if [p]'s rows had been built after
+     [t]'s ([p] is consumed). *)
+  let merge t p =
+    KeyTbl.iter
+      (fun key rows ->
+        let cur = Option.value ~default:[] (KeyTbl.find_opt t.table key) in
+        KeyTbl.replace t.table key (rows @ cur))
+      p.table;
+    t.rows <- t.rows + p.rows
 
   let probe t lrow emit =
     let key = List.map (fun p -> lrow.(p)) t.lkeys in
@@ -206,26 +220,59 @@ module Sorted_run = struct
 
   (* k-way merge of finished runs, emitting at most [limit] rows; ties go to
      the earlier run, so merging the runs of consecutive input slices equals
-     one stable sort of their concatenation. *)
+     one stable sort of their concatenation. A binary min-heap holds the
+     index of every run with rows left, ordered by (head key, run index). *)
   let merge keys limit (runs : entry array array) emit =
-    let m = Array.length runs in
-    let idx = Array.make m 0 in
-    let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 runs in
-    let keep = match limit with Some l -> min l total | None -> total in
-    for _ = 1 to keep do
-      let best = ref (-1) in
-      for i = 0 to m - 1 do
-        if idx.(i) < Array.length runs.(i) then
-          if !best < 0 then best := i
-          else begin
-            let ka, _ = runs.(i).(idx.(i)) in
-            let kb, _ = runs.(!best).(idx.(!best)) in
-            if compare_keys keys ka kb < 0 then best := i
-          end
-      done;
-      let _, row = runs.(!best).(idx.(!best)) in
-      idx.(!best) <- idx.(!best) + 1;
-      emit row
+    let idx = Array.make (Array.length runs) 0 in
+    let less a b =
+      let ka, _ = runs.(a).(idx.(a)) and kb, _ = runs.(b).(idx.(b)) in
+      let c = compare_keys keys ka kb in
+      c < 0 || (c = 0 && a < b)
+    in
+    let heap = Array.make (Array.length runs) 0 in
+    let size = ref 0 in
+    let swap i j =
+      let x = heap.(i) in
+      heap.(i) <- heap.(j);
+      heap.(j) <- x
+    in
+    let rec sift_up i =
+      let parent = (i - 1) / 2 in
+      if i > 0 && less heap.(i) heap.(parent) then begin
+        swap i parent;
+        sift_up parent
+      end
+    in
+    let rec sift_down i =
+      let l = (2 * i) + 1 in
+      let smallest =
+        if l + 1 < !size && less heap.(l + 1) heap.(l) then l + 1 else l
+      in
+      if l < !size && less heap.(smallest) heap.(i) then begin
+        swap i smallest;
+        sift_down smallest
+      end
+    in
+    Array.iteri
+      (fun r run ->
+        if Array.length run > 0 then begin
+          heap.(!size) <- r;
+          incr size;
+          sift_up (!size - 1)
+        end)
+      runs;
+    let left = ref (Option.value limit ~default:max_int) in
+    while !size > 0 && !left > 0 do
+      let r = heap.(0) in
+      let _, row = runs.(r).(idx.(r)) in
+      emit row;
+      decr left;
+      idx.(r) <- idx.(r) + 1;
+      if idx.(r) = Array.length runs.(r) then begin
+        decr size;
+        heap.(0) <- heap.(!size)
+      end;
+      sift_down 0
     done
 end
 

@@ -1,8 +1,9 @@
 (* Engine facade.
 
-   [run] is the push-based pipelined engine ([Operator]); [run_materialized]
-   is the original batch-at-a-time interpreter ([Engine_reference]), retained
-   as the semantic oracle. Both share the accounting types in [Op_trace],
+   [run] is the morsel-driven push engine ([Parallel] driving [Operator]
+   fragments into [Breaker] states); [run_materialized] is the original
+   batch-at-a-time interpreter ([Engine_reference]), retained as the
+   semantic oracle. Both share the accounting types in [Op_trace],
    re-exported here so existing callers keep matching on [Engine.Timeout] and
    reading [stats] fields unchanged. *)
 
@@ -32,12 +33,6 @@ type stats = Op_trace.stats = {
 
 exception Timeout = Op_trace.Timeout
 
-(* [workers = Some w] routes through the morsel-driven parallel engine even
-   for [w = 1]. Both engines share every breaker's implementation
-   ([Breaker]) and fold partials in input order, so a run's rows and their
-   order are the same with or without [workers], at every worker count,
-   chunk size and morsel size (up to the rounding of SUM/AVG over
-   non-integral floats, which the morsel engine adds up per morsel). *)
 (* Parameter bindings are resolved once, at plan granularity, before either
    engine sees the plan: substituting [Param -> Const] up front keeps the
    per-row evaluators binding-free and makes prepared execution byte-identical
@@ -50,12 +45,9 @@ let resolve_params ?params plan =
      diagnostic, not the Eval safety net *)
   | Some bindings -> Gopt_opt.Physical.bind_params bindings plan
 
-let run ?profile ?budget ?chunk_size ?morsel_size ?workers ?params g plan =
-  let plan = resolve_params ?params plan in
-  match workers with
-  | Some w ->
-    Parallel.run ?profile ?budget ?chunk_size ?morsel_size ~workers:w g plan
-  | None -> Operator.run ?profile ?budget ?chunk_size g plan
+let run ?profile ?budget ?chunk_size ?morsel_size ?(workers = 1) ?params g plan =
+  Parallel.run ?profile ?budget ?chunk_size ?morsel_size ~workers g
+    (resolve_params ?params plan)
 
 let run_materialized ?profile ?budget ?params g plan =
   Engine_reference.run ?profile ?budget g (resolve_params ?params plan)

@@ -10,14 +10,15 @@
     Benchmarks combine wall-clock time with the simulated communication
     volume (see EXPERIMENTS.md).
 
-    Execution is push-based and pipelined: each {!Gopt_opt.Physical.t} node
-    compiles to an operator with consume/close callbacks and rows flow
-    through in fixed-size chunks, materializing only at pipeline breakers
-    (see {!Gopt_opt.Physical.pipeline_role}). [LIMIT] propagates a stop
-    signal upstream so scans and expansions terminate early, and every run
-    records a per-operator {!Op_trace.t} on {!stats.op_trace}. The original
-    batch-at-a-time interpreter survives as {!run_materialized}, the
-    semantic oracle for differential tests.
+    Execution is morsel-driven, push-based and pipelined: the plan's input
+    is split into morsels that flow through chains of streaming operators
+    in fixed-size chunks, straight into the next pipeline breaker's state
+    (see {!Gopt_opt.Physical.pipeline_role}); hash joins probe a table
+    built once from their build side, so their output streams too. [LIMIT]
+    stops a morsel's operators as soon as it is satisfied, and no further
+    morsels start. Every run records a per-operator {!Op_trace.t} on
+    {!stats.op_trace}. The original batch-at-a-time interpreter survives as
+    {!run_materialized}, the semantic oracle for differential tests.
 
     All pattern operators implement homomorphism semantics; Cypher's
     no-repeated-edge semantics is realized by the AllDistinct operator
@@ -51,10 +52,9 @@ type stats = Op_trace.stats = {
           well below the materialized path's peak. *)
   mutable live_rows : int;  (** Current live rows (internal counter). *)
   mutable exchange_rows : int;
-      (** Rows that crossed a worker-merge exchange (parallel runs only;
-          0 on sequential runs). *)
+      (** Rows that crossed a worker-merge exchange (0 with one worker). *)
   mutable exchange_cells : int;  (** Exchange rows weighted by row width. *)
-  mutable workers_used : int;  (** Worker domains used by the run (1 = sequential). *)
+  mutable workers_used : int;  (** Worker domains the run was given. *)
   mutable op_trace : Op_trace.t option;
       (** Per-operator trace of the last run ({!run} fills it in;
           {!run_materialized} leaves it [None]). *)
@@ -74,9 +74,8 @@ val run :
   Gopt_graph.Property_graph.t ->
   Gopt_opt.Physical.t ->
   Batch.t * stats
-(** Execute a plan on the pipelined engine. [profile] defaults to
-    {!graphscope_profile}; [chunk_size] is the pipelined batch granularity
-    (default 1024).
+(** Execute a plan. [profile] defaults to {!graphscope_profile};
+    [chunk_size] is the pipelined batch granularity (default 1024).
 
     Scan and filter predicates always run as column-at-a-time kernels
     (falling back to the row interpreter for shapes without one), and
@@ -87,19 +86,21 @@ val run :
     Raises [Invalid_argument] naming the missing parameter and the supplied
     set when a placeholder is left unbound.
 
-    [workers] switches to the morsel-driven parallel engine: scans are split
-    into fixed-size morsels dispatched to [workers] OCaml domains, which run
-    clones of the streaming pipeline fragments; pipeline breakers merge the
-    per-worker partial states in morsel order. Omit [workers] for the
-    sequential push pipeline.
+    [workers] (default 1, at least 1) is the number of OCaml domains. Scans
+    and materialized intermediates are split into morsels of [morsel_size]
+    rows (default 1024). With one worker the morsels run in order on the
+    calling domain and feed each pipeline breaker directly: no exchange,
+    and a trace with the plan's shape. With more, the domains claim
+    morsels, each morsel builds its own partial breaker state, and the
+    partials merge in morsel order; the trace gains one exchange node per
+    stage.
 
     Output order is part of the result: the same plan yields the same rows
-    in the same order with or without [workers], for every [workers],
-    [chunk_size] and [morsel_size]. GROUP BY emits groups in the order
-    their key first appears, ORDER BY is stable, and DISTINCT keeps the
-    first row of each key. The one exception is the rounding of SUM/AVG
-    over non-integral floats, which the morsel engine adds up per morsel
-    before merging. *)
+    in the same order for every [workers], [chunk_size] and [morsel_size].
+    GROUP BY emits groups in the order their key first appears, ORDER BY is
+    stable, and DISTINCT keeps the first row of each key. The one exception
+    is the rounding of SUM/AVG over non-integral floats, which several
+    workers add up per morsel before merging. *)
 
 val run_materialized :
   ?profile:profile ->

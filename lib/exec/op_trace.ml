@@ -58,6 +58,16 @@ let live_add st n =
 
 let live_sub st n = st.live_rows <- st.live_rows - n
 
+(* --- produced rows ---------------------------------------------------------- *)
+
+let count_rows profile st ~width n =
+  st.intermediate_rows <- st.intermediate_rows + n;
+  st.intermediate_cells <- st.intermediate_cells + (n * width);
+  if profile.count_comm then begin
+    st.comm_rows <- st.comm_rows + n;
+    st.comm_cells <- st.comm_cells + (n * width)
+  end
+
 (* --- self-time clock ------------------------------------------------------ *)
 
 (* Profiler-style attribution: exactly one trace node owns the clock at any
@@ -120,41 +130,11 @@ let to_string tr = Format.asprintf "%a" pp tr
 let rec total_time tr =
   tr.time_s +. List.fold_left (fun acc c -> acc +. total_time c) 0.0 tr.children
 
-(* --- structural merging (parallel per-worker rollups) --------------------- *)
+(* --- per-worker trace copies ----------------------------------------------- *)
 
-let rec same_shape a b =
-  a.name = b.name
-  && List.length a.children = List.length b.children
-  && List.for_all2 same_shape a.children b.children
-
-let rec merge_into dst src =
+let absorb dst src =
   dst.rows_in <- dst.rows_in + src.rows_in;
   dst.rows_out <- dst.rows_out + src.rows_out;
   dst.rows_selected <- dst.rows_selected + src.rows_selected;
   dst.kernel_ns <- dst.kernel_ns +. src.kernel_ns;
-  dst.time_s <- dst.time_s +. src.time_s;
-  List.iter2 merge_into dst.children src.children
-
-let rec copy tr =
-  {
-    name = tr.name;
-    rows_in = tr.rows_in;
-    rows_out = tr.rows_out;
-    rows_selected = tr.rows_selected;
-    kernel_ns = tr.kernel_ns;
-    time_s = tr.time_s;
-    children = List.map copy tr.children;
-  }
-
-(* Fold a list of trace trees into per-shape rollups, preserving first-seen
-   order of distinct shapes. Morsel tasks of one exchange stage usually share
-   a single fragment shape; a UNION stage contributes one per branch. *)
-let rollup traces =
-  let merged : t list ref = ref [] in
-  List.iter
-    (fun tr ->
-      match List.find_opt (fun m -> same_shape m tr) !merged with
-      | Some m -> merge_into m tr
-      | None -> merged := !merged @ [ copy tr ])
-    traces;
-  !merged
+  dst.time_s <- dst.time_s +. src.time_s

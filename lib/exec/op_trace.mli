@@ -3,8 +3,8 @@
     A trace mirrors the physical plan tree: one node per operator, carrying
     rows-in / rows-out and the operator's {e self} CPU time (time spent in
     nested operators is attributed to those operators, profiler-style). The
-    pipelined engine fills one in on every run and hangs it off
-    {!stats.op_trace}; {!pp} renders it [EXPLAIN ANALYZE]-style. *)
+    engine fills one in on every run and hangs it off {!stats.op_trace};
+    {!pp} renders it [EXPLAIN ANALYZE]-style. *)
 
 type t = {
   name : string;  (** Single-line operator description. *)
@@ -51,10 +51,9 @@ type stats = {
           plans relative to the materialized reference path. *)
   mutable live_rows : int;  (** Current live rows (internal counter). *)
   mutable exchange_rows : int;
-      (** Rows that crossed a worker-merge exchange (parallel runs only;
-          0 on sequential runs). *)
+      (** Rows that crossed a worker-merge exchange (0 with one worker). *)
   mutable exchange_cells : int;  (** Exchange rows weighted by row width. *)
-  mutable workers_used : int;  (** Worker domains of the run (1 = sequential). *)
+  mutable workers_used : int;  (** Worker domains of the run. *)
   mutable op_trace : t option;  (** Per-operator trace of the last run. *)
 }
 
@@ -69,6 +68,11 @@ val live_add : stats -> int -> unit
 
 val live_sub : stats -> int -> unit
 (** Rows were released. *)
+
+val count_rows : profile -> stats -> width:int -> int -> unit
+(** [count_rows profile st ~width n]: an operator produced [n] rows of
+    [width] fields. They count as intermediate rows, and as communication
+    when the profile counts it. *)
 
 type clock
 (** Self-time attribution clock shared by all operators of one run. *)
@@ -87,18 +91,8 @@ val to_string : t -> string
 val total_time : t -> float
 (** Sum of self times over the whole tree. *)
 
-val same_shape : t -> t -> bool
-(** Structural equality of operator names and tree shape (row/time payloads
-    ignored). *)
-
-val merge_into : t -> t -> unit
-(** [merge_into dst src] adds [src]'s rows and times into [dst], node by
-    node. The trees must have the same shape. *)
-
-val copy : t -> t
-(** Deep copy. *)
-
-val rollup : t list -> t list
-(** Merge a list of trace trees into one rollup per distinct shape
-    (first-seen order). The parallel engine uses this to aggregate the
-    per-morsel fragment traces of one worker into that worker's rollup. *)
+val absorb : t -> t -> unit
+(** [absorb dst src] adds [src]'s own rows, kernel counters and self time
+    into [dst] (children are not visited). A worker of a multi-worker run
+    records into private copies of the trace nodes, which are absorbed into
+    the run's trace when the stage ends. *)

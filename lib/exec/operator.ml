@@ -1,25 +1,27 @@
-(* Push-based pipelined execution.
+(* Streaming fragments: the per-morsel half of the execution engine.
 
-   Each Physical.t node compiles into an operator with consume/close
-   callbacks; rows flow through pipelines in chunks of [chunk_size] rows of
-   the Batch representation. Pipelines break only where semantics require
-   materialization: the Hash_join build side, Group, Order, and the
-   With_common common sub-plan (Dedup streams but holds its seen-set). The
-   breakers' state and output order come from [Breaker], shared with the
-   morsel engine.
+   A fragment is a chain of streaming operators over one source: a slice of
+   a vertex type's index (a Scan morsel) or a batch of rows (a pipeline
+   breaker's output, or a WithCommon common result re-emitted through a
+   CommonRef). [compile] wires the chain into push operators with
+   consume/close callbacks that end in a consumer sink; the returned feed
+   function pushes one source through in chunks of [chunk_size] rows of the
+   Batch representation and flushes every operator's buffer into the
+   consumer. Which sources a stage has, what consumes a fragment's output
+   and how pipeline breakers merge is [Parallel]'s business; this module
+   only moves rows and accounts for them. A compiled fragment keeps its
+   per-operator state (compiled kernels, ExpandIntersect's adjacency cache)
+   across every source it is fed.
 
-   Stop protocol: Limit raises the internal [Stop] exception once satisfied;
-   it unwinds through the upstream operator frames to the pipeline's source
-   (Scan / Common_ref / branch driver), which catches it and closes the
-   pipeline. Sources additionally poll their sink's [k_alive] chain before
-   producing, so sibling pipelines that feed an already-satisfied Limit
-   (e.g. the second Union branch) never start. *)
+   Stop protocol: a consumer that wants no more rows (a satisfied LIMIT)
+   answers [false] to [k_alive]; the next emitter to flush raises the
+   internal [Stop] exception, which unwinds to the feed function and ends
+   that source early. *)
 
 module G = Gopt_graph.Property_graph
 module Schema = Gopt_graph.Schema
 module Pattern = Gopt_pattern.Pattern
 module Tc = Gopt_pattern.Type_constraint
-module Logical = Gopt_gir.Logical
 module Physical = Gopt_opt.Physical
 module Vec = Gopt_util.Vec
 
@@ -29,54 +31,80 @@ let default_chunk_size = 1024
 
 type sink = {
   k_consume : Batch.t -> unit;  (** Receive a chunk (never empty). *)
-  k_close : unit -> unit;  (** End of stream; called exactly once. *)
+  k_close : unit -> unit;  (** End of the current source: flush downstream. *)
   k_alive : unit -> bool;  (** Does anything downstream still want rows? *)
 }
 
-let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
-    ?(chunk_size = default_chunk_size) ?source g plan =
+type step =
+  | Op of Physical.t  (** A streaming operator; its input subtree is not run. *)
+  | Probe of Breaker.Join.t  (** Probe a built hash-join table. *)
+  | Forward of string list
+      (** A Union branch: pass rows on, laid out as these fields. *)
+
+(* One morsel: a range of a vertex type's index, or rows. *)
+type source =
+  | Vertices of {
+      alias : string;
+      verts : int array;
+      pos : int;
+      len : int;
+      kernel : Eval.kernel option;
+    }
+  | Rows of Batch.t
+
+type fragment = {
+  leaf : Op_trace.t option;
+      (** Trace node of the source: the Scan, or a CommonRef re-emitting a
+          common result; none for a breaker's output. *)
+  steps : (step * Op_trace.t) list;  (** Bottom-up, each with its trace node. *)
+}
+
+type ctx = {
+  g : G.t;
+  profile : Op_trace.profile;
+  chunk_size : int;
+  stats : Op_trace.stats;
+  clock : Op_trace.clock;
+  check : unit -> unit;
+  mutable ticks : int;
+}
+
+(* the budget is polled once every 8192 ticks; [tick_n] counts a chunk at
+   once and polls whenever the counter crosses an 8192 boundary *)
+let tick ctx =
+  ctx.ticks <- ctx.ticks + 1;
+  if ctx.ticks land 8191 = 0 then ctx.check ()
+
+let tick_n ctx n =
+  let before = ctx.ticks in
+  ctx.ticks <- before + n;
+  if ctx.ticks lsr 13 <> before lsr 13 then ctx.check ()
+
+(* run a compiled predicate kernel, charging kernel-level counters to the
+   operator's trace node (only genuinely vectorized kernels are counted —
+   fallback kernels are the row interpreter under another name) *)
+let run_kern tr kern b =
+  let cand = Array.init (Batch.n_rows b) Fun.id in
+  if Eval.vectorized kern then begin
+    let t0 = Sys.time () in
+    let out = Eval.run_kernel kern b cand in
+    tr.Op_trace.kernel_ns <- tr.Op_trace.kernel_ns +. ((Sys.time () -. t0) *. 1e9);
+    tr.Op_trace.rows_selected <- tr.Op_trace.rows_selected + Array.length out;
+    out
+  end
+  else Eval.run_kernel kern b cand
+
+(* the rows of [b] whose kernel verdict is true, as a view *)
+let filter tr kern b =
+  let selected = run_kern tr kern b in
+  if Array.length selected = Batch.n_rows b then b else Batch.select b selected
+
+let compile ctx frag consumer =
+  let g = ctx.g and chunk_size = ctx.chunk_size and st = ctx.stats in
+  let clk = ctx.clock in
   let schema = G.schema g in
   let vuniv = Schema.n_vtypes schema and euniv = Schema.n_etypes schema in
-  let st = Op_trace.fresh_stats () in
-  let clk = Op_trace.clock () in
-  let start = Sys.time () in
-  let ticks = ref 0 in
-  let tick_check () =
-    (match budget with
-    | Some b when Sys.time () -. start > b -> raise Op_trace.Timeout
-    | _ -> ());
-    match stop_poll with
-    | Some poll when poll () -> raise Op_trace.Timeout
-    | _ -> ()
-  in
-  let tick () =
-    incr ticks;
-    if !ticks land 8191 = 0 then tick_check ()
-  in
-  (* chunk-granular tick: fires whenever the counter crosses an 8192
-     boundary, so budget polling frequency matches the row-at-a-time path *)
-  let tick_n n =
-    let before = !ticks in
-    ticks := before + n;
-    if !ticks lsr 13 <> before lsr 13 then tick_check ()
-  in
-  (* run a compiled predicate kernel, charging kernel-level counters to the
-     operator's trace node (only genuinely vectorized kernels are counted —
-     fallback kernels are the row interpreter under another name) *)
-  let run_kern tr kern b cand =
-    if Eval.vectorized kern then begin
-      let t0 = Sys.time () in
-      let out = Eval.run_kernel kern b cand in
-      tr.Op_trace.kernel_ns <- tr.Op_trace.kernel_ns +. ((Sys.time () -. t0) *. 1e9);
-      tr.Op_trace.rows_selected <- tr.Op_trace.rows_selected + Array.length out;
-      out
-    end
-    else Eval.run_kernel kern b cand
-  in
-  let mk_trace ?(count_op = true) label =
-    if count_op then st.Op_trace.operators <- st.Op_trace.operators + 1;
-    Op_trace.make label []
-  in
+  let tick () = tick ctx in
   (* wrap an operator body into a sink; consume/close are timed against the
      operator's trace node and rows-in is counted *)
   let mk_sink tr ~consume ~close ~alive =
@@ -94,10 +122,8 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
   in
   (* chunked output buffer: counts emissions into the trace and the engine
      stats, flushes full chunks downstream, and raises Stop when the
-     downstream chain no longer wants rows. [count] is false only for
-     Common_ref re-emission (those rows were accounted when the common
-     sub-plan materialized). *)
-  let emitter ?(count = true) tr fields sink =
+     downstream chain no longer wants rows *)
+  let emitter tr fields sink =
     let buf = ref (Batch.create fields) in
     let width = List.length fields in
     let flush () =
@@ -109,14 +135,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
     in
     let account n =
       tr.Op_trace.rows_out <- tr.Op_trace.rows_out + n;
-      if count then begin
-        st.Op_trace.intermediate_rows <- st.Op_trace.intermediate_rows + n;
-        st.Op_trace.intermediate_cells <- st.Op_trace.intermediate_cells + (n * width);
-        if profile.Op_trace.count_comm then begin
-          st.Op_trace.comm_rows <- st.Op_trace.comm_rows + n;
-          st.Op_trace.comm_cells <- st.Op_trace.comm_cells + (n * width)
-        end
-      end
+      Op_trace.count_rows ctx.profile st ~width n
     in
     let emit row =
       Batch.add !buf row;
@@ -143,22 +162,6 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       sink.k_close ()
     in
     (emit, emit_chunk, close)
-  in
-  (* collect a pipeline's output into a batch (final results, the common
-     sub-plan, join build inputs); collected rows are live *)
-  let collector fields =
-    let out = Batch.create fields in
-    let sink =
-      {
-        k_consume =
-          (fun chunk ->
-            Batch.append_batch out chunk;
-            Op_trace.live_add st (Batch.n_rows chunk));
-        k_close = ignore;
-        k_alive = (fun () -> true);
-      }
-    in
-    (out, sink)
   in
   let etypes con = Tc.to_list ~universe:euniv con in
   let vcheck con v = Tc.mem ~universe:vuniv con (G.vtype g v) in
@@ -216,136 +219,41 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
     | Rval.Rvertex v -> v
     | _ -> invalid_arg "Engine: expected a vertex binding"
   in
-  let label plan = Physical.node_label ~schema plan in
-  (* [run_plan common plan sink] executes the subtree rooted at [plan],
-     pushing chunks into [sink] and closing it exactly once; returns the
-     subtree's trace *)
-  let rec run_plan common plan sink : Op_trace.t =
-    (* drive a source iteration: honour the stop signal, then close *)
-    let drive tr close iterate =
-      (try
-         Op_trace.timed clk tr (fun () ->
-             if not (sink.k_alive ()) then raise Stop;
-             iterate ())
-       with Stop -> ());
-      Op_trace.timed clk tr close;
-      tr
+  (* [operator step tr down] is the sink of one streaming operator, pushing
+     its output into [down] *)
+  let operator step tr down =
+    (* per-input-row body emitting via [emit] *)
+    let unary fields on_row =
+      let emit, _, close = emitter tr fields down in
+      mk_sink tr ~alive:down.k_alive ~close ~consume:(fun chunk ->
+          Batch.iter (fun row -> on_row emit row) chunk)
     in
-    (* unary operator: per-input-row body emitting via [emit]. Breakers
-       also pass [finish], which emits their held state at end of input,
-       and [held], the live rows that state pins until then. *)
-    let unary ?alive ?(finish = ignore) ?(held = fun () -> 0) x tr fields on_row =
-      let emit, _, close = emitter tr fields sink in
-      let alive = match alive with Some f -> f | None -> sink.k_alive in
-      let op =
-        mk_sink tr ~alive
-          ~consume:(fun chunk -> Batch.iter (fun row -> on_row emit row) chunk)
-          ~close:(fun () ->
-            (try finish emit with Stop -> ());
-            Op_trace.live_sub st (held ());
-            close ())
-      in
-      let ctr = run_plan common x op in
-      tr.Op_trace.children <- [ ctr ];
-      tr
+    (* per-chunk body emitting whole chunks *)
+    let chunked fields on_chunk =
+      let _, emit_chunk, close = emitter tr fields down in
+      mk_sink tr ~alive:down.k_alive ~close ~consume:(fun chunk ->
+          on_chunk emit_chunk chunk)
     in
-    (* two-branch union (Union and With_common's C_union): [b]'s rows are
-       projected onto [fields]; the output closes once both branches have *)
-    let union2 tr fields ~b_fields ~run_a ~run_b =
-      let b_layout = Batch.create b_fields in
-      let emit, _, close = emitter tr fields sink in
-      let pending = ref 2 in
-      let branch on_row =
-        mk_sink tr ~alive:sink.k_alive
-          ~close:(fun () ->
-            decr pending;
-            if !pending = 0 then close ())
-          ~consume:(fun chunk -> Batch.iter on_row chunk)
-      in
-      let tra = run_a (branch emit) in
-      let trb = run_b (branch (fun row -> emit (Batch.project_to b_layout fields row))) in
-      (tra, trb)
-    in
-    (* hash-join machinery shared by Hash_join and With_common's C_join:
-       materializes the build side via [run_build], then streams the probe
-       side *)
-    let hash_join tr ~left_fields ~right_fields ~keys ~kind ~run_build ~run_probe =
-      let jc = Breaker.Join.create ~left_fields ~right_fields ~keys ~kind in
-      let build_sink =
-        mk_sink tr ~alive:sink.k_alive ~close:ignore
-          ~consume:(fun chunk ->
-            Batch.iter
-              (fun row ->
-                tick ();
-                Breaker.Join.build jc row;
-                Op_trace.live_add st 1)
-              chunk)
-      in
-      let build_tr = run_build build_sink in
-      let emit, _, close = emitter tr jc.Breaker.Join.out_fields sink in
-      let probe_sink =
-        mk_sink tr ~alive:sink.k_alive
-          ~consume:(fun chunk ->
-            Batch.iter
-              (fun lrow ->
-                tick ();
-                Breaker.Join.probe jc lrow emit)
-              chunk)
-          ~close:(fun () ->
-            Op_trace.live_sub st (Breaker.Join.size jc);
-            close ())
-      in
-      let probe_tr = run_probe probe_sink in
-      (build_tr, probe_tr)
-    in
-    match plan with
-    | Physical.Empty _ ->
-      let tr = mk_trace (label plan) in
-      drive tr (fun () -> sink.k_close ()) (fun () -> ())
-    | Physical.Common_ref _ -> begin
-      match common with
-      | None -> failwith "Engine: CommonRef outside WithCommon"
-      | Some cb ->
-        let tr = mk_trace ~count_op:false (label plan) in
-        let emit, _, close = emitter ~count:false tr (Batch.fields cb) sink in
-        drive tr close (fun () -> Batch.iter emit cb)
-    end
-    | Physical.Scan { alias; con; pred } ->
-      let tr = mk_trace (label plan) in
-      let fields = [ alias ] in
-      let kernel = Option.map (fun p -> Eval.compile g ~fields p) pred in
-      let _, emit_chunk, close = emitter tr fields sink in
-      (* vectorized scan: fill a dense id column per chunk straight from the
-         type index, then narrow it with the compiled predicate kernel — no
-         per-vertex boxing, no per-row closure dispatch *)
-      drive tr close (fun () ->
-          List.iter
-            (fun t ->
-              let verts = G.vertices_of_vtype g t in
-              let nv = Array.length verts in
-              let at = ref 0 in
-              while !at < nv do
-                let len = min chunk_size (nv - !at) in
-                tick_n len;
-                let b = Batch.of_vertex_ids alias verts ~pos:!at ~len in
-                at := !at + len;
-                match kernel with
-                | None -> emit_chunk b
-                | Some k ->
-                  let selected = run_kern tr k b (Array.init len Fun.id) in
-                  if Array.length selected = len then emit_chunk b
-                  else if Array.length selected > 0 then
-                    emit_chunk (Batch.select b selected)
-              done)
-            (Tc.to_list ~universe:vuniv con))
-    | Physical.Expand_all (x, step) ->
+    match step with
+    | Probe jc ->
+      unary jc.Breaker.Join.out_fields (fun emit lrow ->
+          tick ();
+          Breaker.Join.probe jc lrow emit)
+    | Forward fields ->
+      (* a Union branch: rows pass on, the right branch's columns swapped
+         into the union's field order *)
+      chunked fields (fun emit_chunk chunk ->
+          if Batch.fields chunk = fields then emit_chunk chunk
+          else
+            emit_chunk
+              (Batch.project chunk (List.map (fun f -> (Batch.pos chunk f, f)) fields)))
+    | Op (Physical.Expand_all (x, step)) ->
       let child_fields = Physical.output_fields x in
       let e_alias = step.Physical.s_edge.Pattern.e_alias in
       let fields = child_fields @ [ e_alias; step.Physical.s_to ] in
       let layout = Batch.create fields in
       let from_pos = Batch.pos layout step.Physical.s_from in
-      let tr = mk_trace (label plan) in
-      unary x tr fields (fun emit row ->
+      unary fields (fun emit row ->
           let v = vertex_of row.(from_pos) in
           iter_step_adj step v (fun eid other ->
               st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
@@ -363,15 +271,14 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
                 in
                 if keep then emit row'
               end))
-    | Physical.Expand_into (x, step) ->
+    | Op (Physical.Expand_into (x, step)) ->
       let child_fields = Physical.output_fields x in
       let e_alias = step.Physical.s_edge.Pattern.e_alias in
       let fields = child_fields @ [ e_alias ] in
       let layout = Batch.create fields in
       let from_pos = Batch.pos layout step.Physical.s_from in
       let to_pos = Batch.pos layout step.Physical.s_to in
-      let tr = mk_trace (label plan) in
-      unary x tr fields (fun emit row ->
+      unary fields (fun emit row ->
           tick ();
           let u = vertex_of row.(from_pos) and w = vertex_of row.(to_pos) in
           List.iter
@@ -386,7 +293,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
               in
               if keep then emit row')
             (step_edges_between step u w))
-    | Physical.Expand_intersect (x, steps) ->
+    | Op (Physical.Expand_intersect (x, steps)) ->
       let child_fields = Physical.output_fields x in
       let to_alias = (List.hd steps).Physical.s_to in
       let edge_aliases = List.map (fun s -> s.Physical.s_edge.Pattern.e_alias) steps in
@@ -407,8 +314,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
           Hashtbl.add nbr_cache (idx, v) a;
           a
       in
-      let tr = mk_trace (label plan) in
-      unary x tr fields (fun emit row ->
+      unary fields (fun emit row ->
           tick ();
           let anchors = List.map (fun p -> vertex_of row.(p)) from_pos in
           let nbr_arrays =
@@ -469,7 +375,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
                   assemble [] (List.combine steps anchors)
                 end)
               first)
-    | Physical.Path_expand (x, step) ->
+    | Op (Physical.Path_expand (x, step)) ->
       let child_fields = Physical.output_fields x in
       let lo, hi =
         match step.Physical.s_edge.Pattern.e_hops with
@@ -486,8 +392,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
       let layout = Batch.create fields in
       let from_pos = Batch.pos layout step.Physical.s_from in
       let to_pos = if bound_mode then Some (Batch.pos layout step.Physical.s_to) else None in
-      let tr = mk_trace (label plan) in
-      unary x tr fields (fun emit row ->
+      unary fields (fun emit row ->
           let v0 = vertex_of row.(from_pos) in
           let target = Option.map (fun p -> vertex_of row.(p)) to_pos in
           let rec dfs v depth edges_rev verts_rev =
@@ -525,43 +430,18 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
                   if ok then dfs other (depth + 1) (eid :: edges_rev) (other :: verts_rev))
           in
           dfs v0 0 [] [ v0 ])
-    | Physical.Hash_join { left; right; keys; kind } ->
-      let tr = mk_trace (label plan) in
-      let build_tr, probe_tr =
-        hash_join tr
-          ~left_fields:(Physical.output_fields left)
-          ~right_fields:(Physical.output_fields right)
-          ~keys ~kind
-          ~run_build:(fun s -> run_plan common right s)
-          ~run_probe:(fun s -> run_plan common left s)
-      in
-      tr.Op_trace.children <- [ probe_tr; build_tr ];
-      tr
-    | Physical.Select (x, pred) ->
+    | Op (Physical.Select (x, pred)) ->
       let fields = Physical.output_fields x in
-      let tr = mk_trace (label plan) in
       let kernel = Eval.compile g ~fields pred in
-      let _, emit_chunk, close = emitter tr fields sink in
       (* vectorized filter: the kernel marks survivors and the chunk is
          forwarded as a selection-vector view — no row copying *)
-      let op =
-        mk_sink tr ~alive:sink.k_alive ~close
-          ~consume:(fun chunk ->
-            let n = Batch.n_rows chunk in
-            tick_n n;
-            let selected = run_kern tr kernel chunk (Array.init n Fun.id) in
-            if Array.length selected = n then emit_chunk chunk
-            else if Array.length selected > 0 then
-              emit_chunk (Batch.select chunk selected))
-      in
-      let ctr = run_plan common x op in
-      tr.Op_trace.children <- [ ctr ];
-      tr
-    | Physical.Project (x, ps) ->
+      chunked fields (fun emit_chunk chunk ->
+          tick_n ctx (Batch.n_rows chunk);
+          emit_chunk (filter tr kernel chunk))
+    | Op (Physical.Project (x, ps)) -> begin
       let child_fields = Physical.output_fields x in
       let child_layout = Batch.create child_fields in
       let fields = List.map snd ps in
-      let tr = mk_trace (label plan) in
       (* when every projection is a bound [Var], the whole operator is a
          column swap: the output chunk shares the input's columns and
          selection vector *)
@@ -577,79 +457,27 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
         in
         go [] ps
       in
-      begin
-        match var_positions with
-        | Some pairs ->
-          let _, emit_chunk, close = emitter tr fields sink in
-          let op =
-            mk_sink tr ~alive:sink.k_alive ~close
-              ~consume:(fun chunk ->
-                let n = Batch.n_rows chunk in
-                tick_n n;
-                let t0 = Sys.time () in
-                let out = Batch.project chunk pairs in
-                tr.Op_trace.kernel_ns <-
-                  tr.Op_trace.kernel_ns +. ((Sys.time () -. t0) *. 1e9);
-                tr.Op_trace.rows_selected <- tr.Op_trace.rows_selected + n;
-                emit_chunk out)
-          in
-          let ctr = run_plan common x op in
-          tr.Op_trace.children <- [ ctr ];
-          tr
-        | None ->
-          unary x tr fields (fun emit row ->
-              tick ();
-              let lk = Eval.lookup_of_row child_layout row in
-              emit (Array.of_list (List.map (fun (e, _) -> Eval.eval_rval g lk e) ps)))
-      end
-    | Physical.Group (x, ks, aggs) ->
-      let tr = mk_trace (label plan) in
-      let grp = Breaker.Group.create g ~fields:(Physical.output_fields x) ks aggs in
-      unary x tr (Breaker.Group.out_fields ks aggs)
-        ~finish:(Breaker.Group.finish grp)
-        ~held:(fun () -> Breaker.Group.length grp)
-        (fun _ row ->
-          tick ();
-          if Breaker.Group.add grp row then Op_trace.live_add st 1)
-    | Physical.Order (x, ks, lim) ->
-      let fields = Physical.output_fields x in
-      let tr = mk_trace (label plan) in
-      let run = Breaker.Sorted_run.create g ~fields ~chunk_size ks lim in
-      unary x tr fields
-        ~finish:(fun emit ->
-          Array.iter (fun (_, row) -> emit row) (Breaker.Sorted_run.finish run))
-        ~held:(fun () -> Breaker.Sorted_run.length run)
-        (fun _ row ->
-          tick ();
-          Op_trace.live_add st 1;
-          Op_trace.live_sub st (Breaker.Sorted_run.push run row))
-    | Physical.Limit (x, n) ->
-      let fields = Physical.output_fields x in
-      let tr = mk_trace (label plan) in
-      let count = ref 0 in
-      unary
-        ~alive:(fun () -> !count < n && sink.k_alive ())
-        x tr fields
-        (fun emit row ->
-          if !count < n then begin
-            emit row;
-            incr count;
-            (* stop signal: unwinds to this pipeline's source *)
-            if !count >= n then raise Stop
-          end)
-    | Physical.Skip (x, n) ->
-      let fields = Physical.output_fields x in
-      let tr = mk_trace (label plan) in
-      let seen = ref 0 in
-      unary x tr fields (fun emit row ->
-          incr seen;
-          if !seen > n then emit row)
-    | Physical.Unfold (x, e, alias) ->
+      match var_positions with
+      | Some pairs ->
+        chunked fields (fun emit_chunk chunk ->
+            let n = Batch.n_rows chunk in
+            tick_n ctx n;
+            let t0 = Sys.time () in
+            let out = Batch.project chunk pairs in
+            tr.Op_trace.kernel_ns <- tr.Op_trace.kernel_ns +. ((Sys.time () -. t0) *. 1e9);
+            tr.Op_trace.rows_selected <- tr.Op_trace.rows_selected + n;
+            emit_chunk out)
+      | None ->
+        unary fields (fun emit row ->
+            tick ();
+            let lk = Eval.lookup_of_row child_layout row in
+            emit (Array.of_list (List.map (fun (e, _) -> Eval.eval_rval g lk e) ps)))
+    end
+    | Op (Physical.Unfold (x, e, alias)) ->
       let child_fields = Physical.output_fields x in
       let child_layout = Batch.create child_fields in
       let fields = child_fields @ [ alias ] in
-      let tr = mk_trace (label plan) in
-      unary x tr fields (fun emit row ->
+      unary fields (fun emit row ->
           tick ();
           let emit1 v = emit (Array.append row [| v |]) in
           match Eval.eval_rval g (Eval.lookup_of_row child_layout row) e with
@@ -657,24 +485,11 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
           | Rval.Rpath { verts; _ } -> List.iter (fun v -> emit1 (Rval.Rvertex v)) verts
           | Rval.Rnull -> ()
           | single -> emit1 single)
-    | Physical.Dedup (x, tags) ->
-      let fields = Physical.output_fields x in
-      let tr = mk_trace (label plan) in
-      let dd = Breaker.Dedup.create ~fields tags in
-      unary x tr fields
-        ~held:(fun () -> Breaker.Dedup.length dd)
-        (fun emit row ->
-          tick ();
-          if Breaker.Dedup.add dd row then begin
-            Op_trace.live_add st 1;
-            emit row
-          end)
-    | Physical.All_distinct (x, distinct_fields) ->
+    | Op (Physical.All_distinct (x, distinct_fields)) ->
       let fields = Physical.output_fields x in
       let layout = Batch.create fields in
       let positions = List.map (Batch.pos layout) distinct_fields in
-      let tr = mk_trace (label plan) in
-      unary x tr fields (fun emit row ->
+      unary fields (fun emit row ->
           tick ();
           let ids = List.concat_map (fun p -> Rval.edge_ids row.(p)) positions in
           let distinct =
@@ -689,44 +504,47 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget ?stop_poll
               ids
           in
           if distinct then emit row)
-    | Physical.Union (a, b) ->
-      let tr = mk_trace (label plan) in
-      (* forwarding node: counts the combined stream once, like the
-         materialized engine recorded the concatenated batch *)
-      let tra, trb =
-        union2 tr (Physical.output_fields a) ~b_fields:(Physical.output_fields b)
-          ~run_a:(run_plan common a) ~run_b:(run_plan common b)
-      in
-      tr.Op_trace.children <- [ tra; trb ];
-      tr
-    | Physical.With_common { common = c; left; right; combine } ->
-      let tr = mk_trace (label plan) in
-      let c_fields = Physical.output_fields c in
-      let cb, c_sink = collector c_fields in
-      let c_tr = run_plan common c c_sink in
-      let inner = Some cb in
-      let l_tr, r_tr =
-        match combine with
-        | Logical.C_union ->
-          union2 tr (Physical.output_fields left)
-            ~b_fields:(Physical.output_fields right)
-            ~run_a:(run_plan inner left) ~run_b:(run_plan inner right)
-        | Logical.C_join (keys, kind) ->
-          let build_tr, probe_tr =
-            hash_join tr
-              ~left_fields:(Physical.output_fields left)
-              ~right_fields:(Physical.output_fields right)
-              ~keys ~kind
-              ~run_build:(fun s -> run_plan inner right s)
-              ~run_probe:(fun s -> run_plan inner left s)
-          in
-          (probe_tr, build_tr)
-      in
-      Op_trace.live_sub st (Batch.n_rows cb);
-      tr.Op_trace.children <- [ c_tr; l_tr; r_tr ];
-      tr
+    | Op p -> invalid_arg ("Operator: not a streaming operator: " ^ Physical.node_label p)
   in
-  let result, final_sink = collector (Physical.output_fields plan) in
-  let root_tr = run_plan source plan final_sink in
-  st.Op_trace.op_trace <- Some root_tr;
-  (result, st)
+  let sink =
+    List.fold_right (fun (step, tr) down -> operator step tr down) frag.steps consumer
+  in
+  (* the source's rows, as the fragment's leaf produced them: a Scan morsel
+     is narrowed by the scan predicate and counts as produced rows; CommonRef
+     re-emission was accounted when the common sub-plan materialized *)
+  let source_rows src =
+    match src, frag.leaf with
+    | Rows b, leaf ->
+      tick_n ctx (Batch.n_rows b);
+      Option.iter
+        (fun tr -> tr.Op_trace.rows_out <- tr.Op_trace.rows_out + Batch.n_rows b)
+        leaf;
+      b
+    | Vertices _, None -> invalid_arg "Operator: a vertex source needs its Scan node"
+    | Vertices { alias; verts; pos; len; kernel }, Some tr ->
+      tick_n ctx len;
+      (* vectorized scan: a dense id column straight from the type index,
+         narrowed by the compiled predicate kernel — no per-vertex boxing *)
+      let b = Batch.of_vertex_ids alias verts ~pos ~len in
+      let b = match kernel with None -> b | Some k -> filter tr k b in
+      tr.Op_trace.rows_out <- tr.Op_trace.rows_out + Batch.n_rows b;
+      Op_trace.count_rows ctx.profile st ~width:1 (Batch.n_rows b);
+      b
+  in
+  let feed src =
+    let push () =
+      let b = source_rows src in
+      let n = Batch.n_rows b in
+      (try
+         let at = ref 0 in
+         while !at < n && sink.k_alive () do
+           let len = min chunk_size (n - !at) in
+           sink.k_consume (if len = n then b else Batch.sub b ~pos:!at ~len);
+           at := !at + len
+         done
+       with Stop -> ());
+      sink.k_close ()
+    in
+    match frag.leaf with Some tr -> Op_trace.timed clk tr push | None -> push ()
+  in
+  feed

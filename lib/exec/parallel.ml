@@ -1,80 +1,86 @@
-(* Morsel-driven intra-query parallelism on OCaml 5 domains.
+(* The execution driver: morsel-driven, on one or more OCaml 5 domains.
 
-   The plan is decomposed into linear {e streaming fragments} (chains of
-   streaming operators over a single leaf) separated by pipeline breakers.
-   A fragment's input is partitioned into fixed-size {e morsels} — vertex
-   ranges for scans, row ranges for materialized intermediates — and a small
-   domain pool pulls morsel indices off an atomic counter, running a private
-   clone of the fragment per morsel through the ordinary push engine
-   ([Operator.run] with a [Common_ref] leaf fed via [?source]). Pipeline
-   breakers become {e merge points} on the coordinating domain, built from
-   the same [Breaker] cores the sequential engine uses: partial group
-   tables merge in first-sighting order, sorted runs combine via a k-way
-   merge, Dedup re-filters local survivors against a global seen-set, and
-   the hash-join build side is materialized once and probed read-only by
-   all workers.
+   The plan is decomposed into {e stages}. A stage is a streaming region —
+   chains of streaming operators ([Operator] fragments) over Scan leaves,
+   breaker outputs or CommonRef leaves, joined by Union branches and by
+   HashJoin probes — that ends in one consumer: a pipeline breaker's state
+   (Group table, sorted run, Dedup seen-set, join build table) or a
+   collector of rows (the final result, a WithCommon common result, the
+   input of Limit and Skip). A region's input is partitioned into
+   fixed-size {e morsels} — vertex ranges for scans, row ranges for
+   materialized intermediates — and every morsel is pushed through its
+   fragment straight into the consumer, chunk by chunk. Joins stream: the
+   build side runs once as its own stage into one [Breaker.Join] table,
+   which every probe-side morsel then probes read-only. Breakers come from
+   [Breaker]; their output stays a list of per-morsel batches that is
+   sliced into the next stage's morsels, and only the final result is
+   concatenated.
+
+   One worker is the sequential engine: morsels run in order on the calling
+   domain, every morsel feeds the stage's single consumer state, nothing
+   crosses an exchange, and the trace has the plan's shape. With [workers]
+   > 1 a domain pool claims morsel indices off an atomic counter, each
+   morsel feeds its own partial state, and the partials cross an
+   {e exchange} to a merge point on the coordinating domain that folds them
+   in morsel order. Each worker compiles a branch's fragment once per stage
+   and records into private copies of the trace nodes, absorbed into the
+   run's trace when the stage ends; each stage's trace gains an
+   [exchange[...]] node with one leaf per worker.
 
    Determinism: morsel partitioning depends only on the plan, the graph and
-   [morsel_size] — never on the worker count — and every merge point folds
-   per-morsel partials in morsel-index order. Per-morsel work is sequential
-   and deterministic, so the full result (including float-summation order,
-   COLLECT order, and ORDER BY tie resolution) is byte-identical for every
-   [workers] value. Folding in morsel order is also how the sequential
-   engine meets each row, so its output has the same rows in the same
-   order; only SUM/AVG over non-integral floats may round differently,
-   since they are added up per morsel before merging.
+   [morsel_size], per-morsel work is sequential, and merge points fold
+   partials in morsel order, so for every [workers] value the result has
+   the same rows in the same order as one worker feeding each breaker in
+   morsel order. Only SUM/AVG over non-integral floats may round
+   differently between one worker and several, since several workers add
+   them up per morsel before merging; between any two worker counts above
+   one they are bit-identical.
 
-   Accounting: rows handed from a morsel task to its merge point count as
-   {e exchange} rows ([stats.exchange_rows]); profiles with [parallel =
-   true] additionally charge them to the communication counters, applying
-   the paper's communication-cost definition to this engine. [peak_rows] is
-   an approximation: coordinator-side accumulated rows plus the largest
-   single-task peak (concurrent task peaks are not summed). *)
+   Accounting: with several workers, rows handed from a morsel to its merge
+   point count as {e exchange} rows ([stats.exchange_rows]); profiles with
+   [parallel = true] also charge them to the communication counters,
+   applying the paper's communication-cost definition to this engine.
+   [peak_rows] counts breaker state, materialized stage outputs and the
+   result; with several workers, partial states count once they reach the
+   merge point. *)
 
 module G = Gopt_graph.Property_graph
 module Schema = Gopt_graph.Schema
-module Expr = Gopt_pattern.Expr
 module Tc = Gopt_pattern.Type_constraint
 module Logical = Gopt_gir.Logical
 module Physical = Gopt_opt.Physical
 
 let default_morsel_size = 1024
 
-(* --- plan decomposition ------------------------------------------------- *)
-
-type input =
-  | In_scan of {
-      verts : int array;  (** All vertices of one vtype (shared, read-only). *)
-      start : int;
-      len : int;
-      alias : string;
-      kernel : Eval.kernel option;
-          (** Scan predicate compiled once on the coordinator; kernels are
-              pure readers, so one compiled kernel serves every domain. *)
-    }
-  | In_rows of Batch.t
-
-type morsel = {
-  m_input : input;
-  m_in_fields : string list;  (** Layout of the batch fed into the fragment. *)
-  m_fragment : Physical.t option;
-      (** Streaming fragment with a [Common_ref m_in_fields] leaf; [None]
-          passes the input rows through unchanged. *)
-}
-
+(* A streaming region: its branches (fragments with the sources of their
+   morsels, in morsel order) and the trace node of its top operator. *)
 type src = {
-  s_fields : string list;  (** Output layout of every morsel's fragment. *)
-  s_morsels : morsel list;
-  s_traces : Op_trace.t list;  (** Traces of nested upstream merge stages. *)
+  s_fields : string list;  (** Output layout of every branch. *)
+  s_node : Op_trace.t;
+  s_branches : (Operator.fragment * Operator.source list) list;
+  s_held : int;
+      (** Live rows the region pins until its stage ends: breaker outputs it
+          reads, join tables it probes, common results it re-emits. *)
 }
 
-type 'a task_result = {
-  r_val : 'a;
-  r_xrows : int;  (** Rows this task hands across the exchange. *)
-  r_scan_rows : int;  (** Scan rows materialized by the task (post-filter). *)
-  r_stats : Op_trace.stats option;  (** Fragment-run stats, if any. *)
-  r_trace : Op_trace.t option;
-}
+let rows parts = List.fold_left (fun n b -> n + Batch.n_rows b) 0 parts
+
+(* the first [n] rows, and all but the first [n] rows, of a part list *)
+let rec take n = function
+  | [] -> []
+  | b :: rest ->
+    let r = Batch.n_rows b in
+    if r < n then b :: take (n - r) rest
+    else if n = 0 then []
+    else [ (if r = n then b else Batch.sub b ~pos:0 ~len:n) ]
+
+let rec drop n = function
+  | [] -> []
+  | b :: rest ->
+    let r = Batch.n_rows b in
+    if n = 0 then b :: rest
+    else if r <= n then drop (n - r) rest
+    else Batch.sub b ~pos:n ~len:(r - n) :: rest
 
 let run ?(profile = Op_trace.graphscope_profile) ?budget
     ?(chunk_size = Operator.default_chunk_size)
@@ -83,90 +89,61 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
   if morsel_size < 1 then invalid_arg "Parallel.run: morsel_size must be >= 1";
   let schema = G.schema g in
   let vuniv = Schema.n_vtypes schema in
+  let single = workers = 1 in
   let st = Op_trace.fresh_stats () in
   st.Op_trace.workers_used <- workers;
+  let clk = Op_trace.clock () in
   let start = Sys.time () in
-  (* Workers receive the budget's unspent remainder at task start. Sys.time
-     is process-wide CPU, so with w workers the budget is w-fold
-     conservative — acceptable for a cutoff. *)
-  let remaining_budget () =
-    Option.map (fun b -> Float.max 0.0 (b -. (Sys.time () -. start))) budget
-  in
   let cancelled = Atomic.make false in
-  (* rows produced by a merge point itself, mirroring the sequential
-     operator's emitter accounting *)
-  let count_rows n width =
-    st.Op_trace.intermediate_rows <- st.Op_trace.intermediate_rows + n;
-    st.Op_trace.intermediate_cells <- st.Op_trace.intermediate_cells + (n * width);
-    if profile.Op_trace.count_comm then begin
-      st.Op_trace.comm_rows <- st.Op_trace.comm_rows + n;
-      st.Op_trace.comm_cells <- st.Op_trace.comm_cells + (n * width)
-    end
+  (* Sys.time is process-wide CPU, so with w workers the budget is w-fold
+     conservative — acceptable for a cutoff *)
+  let check () =
+    (match budget with
+    | Some b when Sys.time () -. start > b -> raise Op_trace.Timeout
+    | _ -> ());
+    if Atomic.get cancelled then raise Op_trace.Timeout
   in
-  (* [run_morsels ~label ~out_width src post] runs one exchange stage: every
-     morsel task on the worker pool, [post] applied to the fragment output
-     inside the task (returning the value crossing the exchange and its row
-     count). Results come back in morsel order together with the stage's
-     trace node. [early_stop] stops issuing new morsels once the contiguous
-     prefix of completed tasks has produced that many rows (tasks are
-     claimed in index order, so every skipped morsel lies beyond the
-     prefix); skipped slots yield [on_skip ()]. *)
-  let run_morsels ~label ~out_width ?early_stop ?on_skip (s : src) post =
-    let morsels = Array.of_list s.s_morsels in
-    let n = Array.length morsels in
-    let task i =
-      let m = morsels.(i) in
-      let source, scan_rows =
-        match m.m_input with
-        | In_rows b -> (b, 0)
-        | In_scan { verts; start; len; alias; kernel } ->
-          (* columnar morsel: slice the type index into an id column, then
-             narrow it with the precompiled kernel — survivors stay a
-             selection-vector view, no row materialization *)
-          let b = Batch.of_vertex_ids alias verts ~pos:start ~len in
-          let b =
-            match kernel with
-            | None -> b
-            | Some k ->
-              let selected = Eval.run_kernel k b (Array.init len Fun.id) in
-              if Array.length selected = len then b else Batch.select b selected
-          in
-          (b, Batch.n_rows b)
-      in
-      let out, tstats, ttrace =
-        match m.m_fragment with
-        | None -> (source, None, None)
-        | Some frag ->
-          if Batch.n_rows source = 0 then (Batch.create (Physical.output_fields frag), None, None)
-          else begin
-            let out, fs =
-              Operator.run ~profile ?budget:(remaining_budget ())
-                ~stop_poll:(fun () -> Atomic.get cancelled)
-                ~chunk_size ~source g frag
-            in
-            (out, Some fs, fs.Op_trace.op_trace)
-          end
-      in
-      let v, xrows = post out in
-      { r_val = v; r_xrows = xrows; r_scan_rows = scan_rows; r_stats = tstats;
-        r_trace = ttrace }
+  (* one trace node per plan operator; CommonRef re-emission is not one *)
+  let node p =
+    (match p with
+    | Physical.Common_ref _ -> ()
+    | _ -> st.Op_trace.operators <- st.Op_trace.operators + 1);
+    Op_trace.make (Physical.node_label ~schema p) []
+  in
+  (* [stage ?node ~width s ~init ~add ~size] runs every morsel of [s]
+     through its branch's fragment and feeds the output chunks to a consumer
+     state with [add], timed into [node] (the consuming breaker's trace
+     node). [size] is the number of rows a state holds, [width] their field
+     count (for exchange accounting). Returns the states in morsel order
+     (never none) and the trace node the consumer's input hangs under.
+     [alive] lets a state refuse further rows, ending its morsel early;
+     [enough] stops claiming morsels once the completed prefix of morsels
+     holds that many rows (morsels are claimed in index order, so every
+     skipped one lies beyond it). *)
+  let stage ?node ?(alive = fun _ -> true) ?enough ~width (s : src) ~init ~add ~size =
+    let frags = Array.of_list (List.map fst s.s_branches) in
+    let morsels =
+      Array.of_list
+        (List.concat
+           (List.mapi (fun bi (_, srcs) -> List.map (fun m -> (bi, m)) srcs) s.s_branches))
     in
+    let n = Array.length morsels in
+    let the_state = if single then Some (init ()) else None in
     let results = Array.make n None in
     let errors = Array.make n None in
     let worker_of = Array.make n (-1) in
     let next = Atomic.make 0 in
-    let stop = Atomic.make false in
-    (match early_stop with Some t when t <= 0 -> Atomic.set stop true | _ -> ());
+    let stop = Atomic.make (match enough with Some t -> t <= 0 | None -> false) in
     let prefix_mutex = Mutex.create () in
     let done_rows = Array.make n (-1) in
-    let frontier = ref 0 in
-    let prefix_rows = ref 0 in
-    let note_done i rows =
-      match early_stop with
+    let frontier = ref 0 and prefix_rows = ref 0 in
+    let note_done i state =
+      match enough with
       | None -> ()
+      | Some target when single -> if size state >= target then Atomic.set stop true
       | Some target ->
         Mutex.lock prefix_mutex;
-        done_rows.(i) <- rows;
+        done_rows.(i) <- size state;
         while !frontier < n && done_rows.(!frontier) >= 0 do
           prefix_rows := !prefix_rows + done_rows.(!frontier);
           incr frontier
@@ -174,7 +151,65 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
         if !prefix_rows >= target then Atomic.set stop true;
         Mutex.unlock prefix_mutex
     in
-    let body wid =
+    let worker wid =
+      let wst = if single then st else Op_trace.fresh_stats () in
+      let copies = ref [] in
+      let local tr =
+        if single then tr
+        else
+          match List.assq_opt tr !copies with
+          | Some c -> c
+          | None ->
+            let c = Op_trace.make tr.Op_trace.name [] in
+            copies := (tr, c) :: !copies;
+            c
+      in
+      let ctx =
+        {
+          Operator.g;
+          profile;
+          chunk_size;
+          stats = wst;
+          clock = (if single then clk else Op_trace.clock ());
+          check;
+          ticks = 0;
+        }
+      in
+      let cur = ref the_state in
+      let state () = Option.get !cur in
+      let consume =
+        match Option.map local node with
+        | None -> fun chunk -> add wst (state ()) chunk
+        | Some tr ->
+          fun chunk ->
+            Op_trace.timed ctx.Operator.clock tr (fun () ->
+                tr.Op_trace.rows_in <- tr.Op_trace.rows_in + Batch.n_rows chunk;
+                add wst (state ()) chunk)
+      in
+      let consumer =
+        {
+          Operator.k_consume = consume;
+          k_close = ignore;
+          k_alive = (fun () -> alive (state ()));
+        }
+      in
+      let feeds = Array.make (Array.length frags) None in
+      let feed bi m =
+        match feeds.(bi) with
+        | Some f -> f m
+        | None ->
+          let frag = frags.(bi) in
+          let f =
+            Operator.compile ctx
+              {
+                Operator.leaf = Option.map local frag.Operator.leaf;
+                steps = List.map (fun (step, tr) -> (step, local tr)) frag.Operator.steps;
+              }
+              consumer
+          in
+          feeds.(bi) <- Some f;
+          f m
+      in
       let continue_ = ref true in
       while !continue_ do
         if Atomic.get stop || Atomic.get cancelled then continue_ := false
@@ -183,24 +218,29 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
           if i >= n then continue_ := false
           else begin
             worker_of.(i) <- wid;
-            match task i with
-            | r ->
-              results.(i) <- Some r;
-              note_done i r.r_xrows
+            if not single then cur := Some (init ());
+            let bi, m = morsels.(i) in
+            match feed bi m with
+            | () ->
+              results.(i) <- !cur;
+              note_done i (state ())
             | exception e ->
               errors.(i) <- Some e;
               Atomic.set cancelled true
           end
         end
-      done
+      done;
+      (wst, !copies)
     in
     let w = max 1 (min workers n) in
-    if w = 1 then body 0
-    else begin
-      let doms = Array.init (w - 1) (fun k -> Domain.spawn (fun () -> body (k + 1))) in
-      body 0;
-      Array.iter Domain.join doms
-    end;
+    let outcomes =
+      if w = 1 then [ worker 0 ]
+      else begin
+        let doms = Array.init (w - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
+        let first = worker 0 in
+        first :: Array.to_list (Array.map Domain.join doms)
+      end
+    in
     (* Re-raise the first genuine error in morsel order; a cancellation-
        induced Timeout only wins when every error is a Timeout. *)
     let first_err p =
@@ -211,339 +251,334 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
     (match first_err (fun e -> e <> Op_trace.Timeout) with
     | Some e -> raise e
     | None -> (match first_err (fun _ -> true) with Some e -> raise e | None -> ()));
-    (* fold task stats into the run stats *)
-    let xrows_total = ref 0 in
-    let max_peak = ref 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some r ->
-          xrows_total := !xrows_total + r.r_xrows;
-          if r.r_scan_rows > 0 then count_rows r.r_scan_rows 1;
-          (match r.r_stats with
-          | None -> ()
-          | Some ts ->
-            st.Op_trace.intermediate_rows <-
-              st.Op_trace.intermediate_rows + ts.Op_trace.intermediate_rows;
-            st.Op_trace.intermediate_cells <-
-              st.Op_trace.intermediate_cells + ts.Op_trace.intermediate_cells;
-            st.Op_trace.comm_rows <- st.Op_trace.comm_rows + ts.Op_trace.comm_rows;
-            st.Op_trace.comm_cells <- st.Op_trace.comm_cells + ts.Op_trace.comm_cells;
-            st.Op_trace.edges_touched <-
-              st.Op_trace.edges_touched + ts.Op_trace.edges_touched;
-            if ts.Op_trace.peak_rows > !max_peak then max_peak := ts.Op_trace.peak_rows))
-      results;
-    if st.Op_trace.live_rows + !max_peak > st.Op_trace.peak_rows then
-      st.Op_trace.peak_rows <- st.Op_trace.live_rows + !max_peak;
-    Op_trace.live_add st !xrows_total;
-    st.Op_trace.exchange_rows <- st.Op_trace.exchange_rows + !xrows_total;
-    st.Op_trace.exchange_cells <- st.Op_trace.exchange_cells + (!xrows_total * out_width);
-    if profile.Op_trace.parallel then begin
-      st.Op_trace.comm_rows <- st.Op_trace.comm_rows + !xrows_total;
-      st.Op_trace.comm_cells <- st.Op_trace.comm_cells + (!xrows_total * out_width)
-    end;
-    (* per-worker rollups of the fragment traces *)
-    let worker_nodes =
-      List.filter_map
-        (fun wid ->
-          let idxs = ref [] in
-          Array.iteri (fun i w' -> if w' = wid then idxs := i :: !idxs) worker_of;
-          let idxs = List.rev !idxs in
-          if idxs = [] then None
-          else begin
-            let traces =
-              List.filter_map
-                (fun i -> Option.bind results.(i) (fun r -> r.r_trace))
-                idxs
-            in
-            let rows =
-              List.fold_left
-                (fun acc i ->
-                  match results.(i) with Some r -> acc + r.r_xrows | None -> acc)
-                0 idxs
-            in
-            let node =
-              Op_trace.make
-                (Printf.sprintf "worker %d (morsels=%d)" wid (List.length idxs))
-                (Op_trace.rollup traces)
-            in
-            node.Op_trace.rows_out <- rows;
-            Some node
-          end)
-        (List.init w Fun.id)
+    let states =
+      match the_state with
+      | Some state -> [ state ]
+      | None -> (
+        match List.filter_map Fun.id (Array.to_list results) with
+        | [] -> [ init () ]
+        | states -> states)
     in
-    let skipped = Array.fold_left (fun acc r -> if r = None then acc + 1 else acc) 0 results in
-    let xnode =
-      Op_trace.make
-        (Printf.sprintf "exchange[%s] (morsels=%d%s, workers=%d)" label n
-           (if skipped > 0 then Printf.sprintf ", skipped=%d" skipped else "")
-           w)
-        (worker_nodes @ s.s_traces)
+    let kid =
+      if single then s.s_node
+      else begin
+        List.iter
+          (fun ((wst : Op_trace.stats), copies) ->
+            st.intermediate_rows <- st.intermediate_rows + wst.intermediate_rows;
+            st.intermediate_cells <- st.intermediate_cells + wst.intermediate_cells;
+            st.comm_rows <- st.comm_rows + wst.comm_rows;
+            st.comm_cells <- st.comm_cells + wst.comm_cells;
+            st.edges_touched <- st.edges_touched + wst.edges_touched;
+            List.iter (fun (tr, c) -> Op_trace.absorb tr c) copies)
+          outcomes;
+        let sizes = Array.map (function Some state -> size state | None -> 0) results in
+        let xrows = Array.fold_left ( + ) 0 sizes in
+        Op_trace.live_add st xrows;
+        st.exchange_rows <- st.exchange_rows + xrows;
+        st.exchange_cells <- st.exchange_cells + (xrows * width);
+        if profile.Op_trace.parallel then begin
+          st.comm_rows <- st.comm_rows + xrows;
+          st.comm_cells <- st.comm_cells + (xrows * width)
+        end;
+        let worker_node wid =
+          let morsels = ref 0 and rows = ref 0 in
+          Array.iteri
+            (fun i w' ->
+              if w' = wid then begin
+                incr morsels;
+                rows := !rows + sizes.(i)
+              end)
+            worker_of;
+          let tr = Op_trace.make (Printf.sprintf "worker %d (morsels=%d)" wid !morsels) [] in
+          tr.Op_trace.rows_out <- !rows;
+          tr
+        in
+        let skipped =
+          Array.fold_left (fun k r -> if Option.is_none r then k + 1 else k) 0 results
+        in
+        let label = (match node with Some tr -> tr | None -> s.s_node).Op_trace.name in
+        let xnode =
+          Op_trace.make
+            (Printf.sprintf "exchange[%s] (morsels=%d%s, workers=%d)" label n
+               (if skipped > 0 then Printf.sprintf ", skipped=%d" skipped else "")
+               w)
+            (List.init w worker_node @ [ s.s_node ])
+        in
+        xnode.Op_trace.rows_in <- xrows;
+        xnode.Op_trace.rows_out <- xrows;
+        xnode
+      end
     in
-    xnode.Op_trace.rows_in <- !xrows_total;
-    xnode.Op_trace.rows_out <- !xrows_total;
-    let values =
-      Array.map
-        (function
-          | Some r -> r.r_val
-          | None -> (
-            match on_skip with
-            | Some f -> f ()
-            | None -> invalid_arg "Parallel: morsel skipped without on_skip"))
-        results
-    in
-    (values, xnode)
+    Op_trace.live_sub st s.s_held;
+    (states, kid)
   in
-  (* slice a materialized batch into row-range morsels *)
-  let slice_rows (b : Batch.t) =
-    let fields = Batch.fields b in
-    let nr = Batch.n_rows b in
-    let out = ref [] in
-    let pos = ref 0 in
-    while !pos < nr do
-      let len = min morsel_size (nr - !pos) in
-      out :=
-        { m_input = In_rows (Batch.sub b ~pos:!pos ~len); m_in_fields = fields;
-          m_fragment = None }
-        :: !out;
-      pos := !pos + len
-    done;
-    List.rev !out
+  (* a collecting stage: the region's rows as batches, at most [cap] per
+     state *)
+  let collect ?node ?cap (s : src) =
+    let room b = match cap with Some n -> n - Batch.n_rows b | None -> max_int in
+    stage ?node ~width:(List.length s.s_fields) s ~alive:(fun b -> room b > 0) ?enough:cap
+      ~init:(fun () -> Batch.create s.s_fields)
+      ~add:(fun wst b chunk ->
+        let k = min (room b) (Batch.n_rows chunk) in
+        if k > 0 then begin
+          Batch.append_batch b
+            (if k = Batch.n_rows chunk then chunk else Batch.sub chunk ~pos:0 ~len:k);
+          Op_trace.live_add wst k
+        end)
+      ~size:Batch.n_rows
   in
-  let leaf_of m =
-    match m.m_fragment with Some f -> f | None -> Physical.Common_ref m.m_in_fields
+  (* a merge point's output [parts] takes the place of the [held] live rows
+     of breaker state, and counts as rows the breaker [tr] produced *)
+  let settle tr ~held parts =
+    let n = rows parts in
+    Op_trace.live_sub st held;
+    Op_trace.live_add st n;
+    tr.Op_trace.rows_out <- tr.Op_trace.rows_out + n;
+    (match parts with
+    | b :: _ -> Op_trace.count_rows profile st ~width:(Batch.n_fields b) n
+    | [] -> ());
+    (parts, tr)
   in
-  let mk_node lbl children out =
-    let tr = Op_trace.make lbl children in
-    tr.Op_trace.rows_out <- Batch.n_rows out;
-    (out, tr)
+  (* [f pos len] over the morsel-sized ranges of [0, n) *)
+  let ranges n f =
+    List.init ((n + morsel_size - 1) / morsel_size) (fun k ->
+        let pos = k * morsel_size in
+        f pos (min morsel_size (n - pos)))
   in
-  (* [psource env p] decomposes the streaming region rooted at [p] into
-     morsels; breakers below it are executed recursively by [exec] and their
-     output sliced. [exec env p] fully evaluates [p] (merge points run
-     here on the coordinator). *)
+  let slices parts =
+    List.concat_map
+      (fun b ->
+        let nr = Batch.n_rows b in
+        if nr = 0 then []
+        else if nr <= morsel_size then [ Operator.Rows b ]
+        else ranges nr (fun pos len -> Operator.Rows (Batch.sub b ~pos ~len)))
+      parts
+  in
+  let add_step (s : src) step tr ~fields =
+    {
+      s with
+      s_fields = fields;
+      s_node = tr;
+      s_branches =
+        List.map
+          (fun ((f : Operator.fragment), srcs) ->
+            ({ f with Operator.steps = f.Operator.steps @ [ (step, tr) ] }, srcs))
+          s.s_branches;
+    }
+  in
+  (* both branches' morsels, each branch's rows passed on through [tr] in
+     the first branch's layout *)
+  let union tr (sa : src) (sb : src) =
+    let fields = sa.s_fields in
+    let fwd s = (add_step s (Operator.Forward fields) tr ~fields).s_branches in
+    {
+      s_fields = fields;
+      s_node = tr;
+      s_branches = fwd sa @ fwd sb;
+      s_held = sa.s_held + sb.s_held;
+    }
+  in
+  let probe tr (s : src) jc =
+    let s' = add_step s (Operator.Probe jc) tr ~fields:jc.Breaker.Join.out_fields in
+    { s' with s_held = s.s_held + Breaker.Join.size jc }
+  in
+  (* [psource env p] decomposes the streaming region rooted at [p]; the
+     breakers below it run to completion first, through [exec]. [env] is
+     the enclosing WithCommon's common result. *)
   let rec psource env (p : Physical.t) : src =
-    let extend child wrap =
-      let s = psource env child in
-      {
-        s_fields = Physical.output_fields p;
-        s_morsels =
-          List.map (fun m -> { m with m_fragment = Some (wrap (leaf_of m)) }) s.s_morsels;
-        s_traces = s.s_traces;
-      }
-    in
     match p with
     | Physical.Scan { alias; con; pred } ->
       let kernel = Option.map (fun p -> Eval.compile g ~fields:[ alias ] p) pred in
-      let morsels = ref [] in
-      List.iter
-        (fun t ->
-          let verts = G.vertices_of_vtype g t in
-          let nv = Array.length verts in
-          let pos = ref 0 in
-          while !pos < nv do
-            let len = min morsel_size (nv - !pos) in
-            morsels :=
-              { m_input = In_scan { verts; start = !pos; len; alias; kernel };
-                m_in_fields = [ alias ]; m_fragment = None }
-              :: !morsels;
-            pos := !pos + len
-          done)
-        (Tc.to_list ~universe:vuniv con);
-      { s_fields = [ alias ]; s_morsels = List.rev !morsels; s_traces = [] }
+      let morsels t =
+        let verts = G.vertices_of_vtype g t in
+        ranges (Array.length verts) (fun pos len ->
+            Operator.Vertices { alias; verts; pos; len; kernel })
+      in
+      let tr = node p in
+      let srcs = List.concat_map morsels (Tc.to_list ~universe:vuniv con) in
+      {
+        s_fields = [ alias ];
+        s_node = tr;
+        s_branches = [ ({ leaf = Some tr; steps = [] }, srcs) ];
+        s_held = 0;
+      }
     | Physical.Common_ref fields -> begin
       match env with
-      | None -> failwith "Parallel: CommonRef outside WithCommon"
-      | Some cb -> { s_fields = fields; s_morsels = slice_rows cb; s_traces = [] }
+      | None -> failwith "Engine: CommonRef outside WithCommon"
+      | Some parts ->
+        let tr = node p in
+        {
+          s_fields = fields;
+          s_node = tr;
+          s_branches = [ ({ leaf = Some tr; steps = [] }, slices parts) ];
+          s_held = 0;
+        }
     end
-    | Physical.Empty fields -> { s_fields = fields; s_morsels = []; s_traces = [] }
-    | Physical.Select (x, pred) -> extend x (fun l -> Physical.Select (l, pred))
-    | Physical.Project (x, ps) -> extend x (fun l -> Physical.Project (l, ps))
-    | Physical.Expand_all (x, step) -> extend x (fun l -> Physical.Expand_all (l, step))
-    | Physical.Expand_into (x, step) -> extend x (fun l -> Physical.Expand_into (l, step))
-    | Physical.Expand_intersect (x, steps) ->
-      extend x (fun l -> Physical.Expand_intersect (l, steps))
-    | Physical.Path_expand (x, step) -> extend x (fun l -> Physical.Path_expand (l, step))
-    | Physical.Unfold (x, e, alias) -> extend x (fun l -> Physical.Unfold (l, e, alias))
-    | Physical.All_distinct (x, fs) -> extend x (fun l -> Physical.All_distinct (l, fs))
+    | Physical.Empty fields ->
+      { s_fields = fields; s_node = node p; s_branches = []; s_held = 0 }
+    | Physical.Select (x, _) | Physical.Project (x, _) | Physical.Expand_all (x, _)
+    | Physical.Expand_into (x, _) | Physical.Expand_intersect (x, _)
+    | Physical.Path_expand (x, _) | Physical.Unfold (x, _, _) | Physical.All_distinct (x, _) ->
+      let s = psource env x in
+      let tr = node p in
+      tr.Op_trace.children <- [ s.s_node ];
+      add_step s (Operator.Op p) tr ~fields:(Physical.output_fields p)
     | Physical.Union (a, b) ->
       let sa = psource env a in
       let sb = psource env b in
-      let fields = sa.s_fields in
-      let sb_morsels =
-        if sb.s_fields = fields then sb.s_morsels
-        else
-          (* unify the right branch's layout, like the sequential Union's
-             forwarding projection *)
-          let ps = List.map (fun f -> (Expr.Var f, f)) fields in
-          List.map
-            (fun m -> { m with m_fragment = Some (Physical.Project (leaf_of m, ps)) })
-            sb.s_morsels
+      let tr = node p in
+      tr.Op_trace.children <- [ sa.s_node; sb.s_node ];
+      union tr sa sb
+    | Physical.Hash_join { left; right; keys; kind } ->
+      let tr = node p in
+      let jc, build_tr =
+        build env tr right ~left_fields:(Physical.output_fields left) ~keys ~kind
       in
-      {
-        s_fields = fields;
-        s_morsels = sa.s_morsels @ sb_morsels;
-        s_traces = sa.s_traces @ sb.s_traces;
-      }
+      let sl = psource env left in
+      tr.Op_trace.children <- [ sl.s_node; build_tr ];
+      probe tr sl jc
+    | Physical.With_common { common; left; right; combine } ->
+      let tr = node p in
+      let parts, common_tr = exec env common in
+      let env = Some parts in
+      let s =
+        match combine with
+        | Logical.C_union ->
+          let sl = psource env left in
+          let sr = psource env right in
+          tr.Op_trace.children <- [ common_tr; sl.s_node; sr.s_node ];
+          union tr sl sr
+        | Logical.C_join (keys, kind) ->
+          let jc, build_tr =
+            build env tr right ~left_fields:(Physical.output_fields left) ~keys ~kind
+          in
+          let sl = psource env left in
+          tr.Op_trace.children <- [ common_tr; sl.s_node; build_tr ];
+          probe tr sl jc
+      in
+      { s with s_held = s.s_held + rows parts }
     | Physical.Group _ | Physical.Order _ | Physical.Limit _ | Physical.Skip _
-    | Physical.Dedup _ | Physical.Hash_join _ | Physical.With_common _ ->
-      let b, tr = exec env p in
-      { s_fields = Batch.fields b; s_morsels = slice_rows b; s_traces = [ tr ] }
-  and exec env (p : Physical.t) : Batch.t * Op_trace.t =
-    let lbl = Physical.node_label ~schema p in
-    (* run a probe-side exchange against a read-only shared hash table *)
-    let join_probe env lbl ~left ~right_batch ~keys ~kind extra_traces =
-      let s = psource env left in
-      let jc =
-        Breaker.Join.create ~left_fields:s.s_fields
-          ~right_fields:(Batch.fields right_batch) ~keys ~kind
-      in
-      Batch.iter (fun row -> Breaker.Join.build jc row) right_batch;
-      Op_trace.live_add st (Batch.n_rows right_batch);
-      let out_fields = jc.Breaker.Join.out_fields in
-      let post b =
-        let out = Batch.create out_fields in
-        Batch.iter (fun lrow -> Breaker.Join.probe jc lrow (Batch.add out)) b;
-        (out, Batch.n_rows out)
-      in
-      let parts, xnode =
-        run_morsels ~label:lbl ~out_width:(List.length out_fields) s post
-      in
-      Op_trace.live_sub st (Batch.n_rows right_batch);
-      let out = Batch.concat out_fields (Array.to_list parts) in
-      count_rows (Batch.n_rows out) (List.length out_fields);
-      mk_node lbl (xnode :: extra_traces) out
+    | Physical.Dedup _ ->
+      let parts, tr = exec env p in
+      {
+        s_fields = Physical.output_fields p;
+        s_node = tr;
+        s_branches = [ ({ leaf = None; steps = [] }, slices parts) ];
+        s_held = rows parts;
+      }
+  (* the build side of a hash join [tr]: one stage into one join table *)
+  and build env tr right ~left_fields ~keys ~kind =
+    let s = psource env right in
+    let tables, kid =
+      stage ~node:tr ~width:(List.length s.s_fields) s
+        ~init:(fun () ->
+          Breaker.Join.create ~left_fields ~right_fields:s.s_fields ~keys ~kind)
+        ~add:(fun wst jc chunk ->
+          Batch.iter (Breaker.Join.build jc) chunk;
+          Op_trace.live_add wst (Batch.n_rows chunk))
+        ~size:Breaker.Join.size
     in
+    let jc = List.hd tables in
+    Op_trace.timed clk tr (fun () -> List.iter (Breaker.Join.merge jc) (List.tl tables));
+    (jc, kid)
+  (* [exec env p] evaluates [p] to its output parts and trace node *)
+  and exec env (p : Physical.t) : Batch.t list * Op_trace.t =
+    let sum size states = List.fold_left (fun n x -> n + size x) 0 states in
     match p with
     | Physical.Group (x, ks, aggs) ->
       let s = psource env x in
-      let out_fields = Breaker.Group.out_fields ks aggs in
-      let post b =
-        let grp = Breaker.Group.create g ~fields:s.s_fields ks aggs in
-        Batch.iter (fun row -> ignore (Breaker.Group.add grp row)) b;
-        (grp, Breaker.Group.length grp)
+      let tr = node p in
+      let fields = Breaker.Group.out_fields ks aggs in
+      let tables, kid =
+        stage ~node:tr ~width:(List.length fields) s
+          ~init:(fun () -> Breaker.Group.create g ~fields:s.s_fields ks aggs)
+          ~add:(fun wst grp chunk ->
+            Batch.iter
+              (fun row -> if Breaker.Group.add grp row then Op_trace.live_add wst 1)
+              chunk)
+          ~size:Breaker.Group.length
       in
-      let parts, xnode =
-        run_morsels ~label:lbl ~out_width:(List.length out_fields) s post
-      in
-      (* merge partial tables in morsel order: keys keep first sighting *)
-      let grp = Breaker.Group.create g ~fields:s.s_fields ks aggs in
-      Array.iter (Breaker.Group.merge grp) parts;
-      let out = Batch.create out_fields in
-      Breaker.Group.finish grp (Batch.add out);
-      count_rows (Batch.n_rows out) (List.length out_fields);
-      mk_node lbl [ xnode ] out
+      tr.Op_trace.children <- [ kid ];
+      let held = sum Breaker.Group.length tables in
+      (* partial tables fold in morsel order: keys keep first sighting *)
+      Op_trace.timed clk tr (fun () ->
+          let grp = List.hd tables in
+          List.iter (Breaker.Group.merge grp) (List.tl tables);
+          let out = Batch.create fields in
+          Breaker.Group.finish grp (Batch.add out);
+          settle tr ~held [ out ])
     | Physical.Order (x, ks, lim) ->
       let s = psource env x in
-      let width = List.length s.s_fields in
-      let post b =
-        let run = Breaker.Sorted_run.create g ~fields:s.s_fields ~chunk_size ks lim in
-        Batch.iter (fun row -> ignore (Breaker.Sorted_run.push run row)) b;
-        (* any row beyond the limit within its own run cannot make the
-           global top-k *)
-        let sorted = Breaker.Sorted_run.finish run in
-        (sorted, Array.length sorted)
+      let tr = node p in
+      let runs, kid =
+        stage ~node:tr ~width:(List.length s.s_fields) s
+          ~init:(fun () -> Breaker.Sorted_run.create g ~fields:s.s_fields ~chunk_size ks lim)
+          ~add:(fun wst run chunk ->
+            Batch.iter
+              (fun row ->
+                Op_trace.live_add wst 1;
+                Op_trace.live_sub wst (Breaker.Sorted_run.push run row))
+              chunk)
+          ~size:Breaker.Sorted_run.length
       in
-      let parts, xnode = run_morsels ~label:lbl ~out_width:width s post in
-      (* ties resolve to the lower morsel index, making tie order independent
-         of the worker count *)
-      let out = Batch.create s.s_fields in
-      Breaker.Sorted_run.merge ks lim parts (Batch.add out);
-      count_rows (Batch.n_rows out) width;
-      mk_node lbl [ xnode ] out
+      tr.Op_trace.children <- [ kid ];
+      let held = sum Breaker.Sorted_run.length runs in
+      (* ties resolve to the earlier run, i.e. the earlier morsel *)
+      Op_trace.timed clk tr (fun () ->
+          let out = Batch.create s.s_fields in
+          Breaker.Sorted_run.merge ks lim
+            (Array.of_list (List.map Breaker.Sorted_run.finish runs))
+            (Batch.add out);
+          settle tr ~held [ out ])
     | Physical.Dedup (x, tags) ->
       let s = psource env x in
-      let width = List.length s.s_fields in
-      let dedup dd b out =
-        Batch.iter (fun row -> if Breaker.Dedup.add dd row then Batch.add out row) b
+      let tr = node p in
+      let keep seen out row = if Breaker.Dedup.add seen row then Batch.add out row in
+      let states, kid =
+        stage ~node:tr ~width:(List.length s.s_fields) s
+          ~init:(fun () ->
+            (Breaker.Dedup.create ~fields:s.s_fields tags, Batch.create s.s_fields))
+          ~add:(fun wst (seen, out) chunk ->
+            let before = Batch.n_rows out in
+            Batch.iter (keep seen out) chunk;
+            Op_trace.live_add wst (Batch.n_rows out - before))
+          ~size:(fun (_, out) -> Batch.n_rows out)
       in
-      let post b =
-        let out = Batch.create s.s_fields in
-        dedup (Breaker.Dedup.create ~fields:s.s_fields tags) b out;
-        (out, Batch.n_rows out)
-      in
-      let parts, xnode = run_morsels ~label:lbl ~out_width:width s post in
-      (* re-filter each morsel's local survivors against one global seen-set *)
-      let seen = Breaker.Dedup.create ~fields:s.s_fields tags in
-      let out = Batch.create s.s_fields in
-      Array.iter (fun pb -> dedup seen pb out) parts;
-      count_rows (Batch.n_rows out) width;
-      mk_node lbl [ xnode ] out
-    | Physical.Hash_join { left; right; keys; kind } ->
-      let rb, rtr = exec env right in
-      join_probe env lbl ~left ~right_batch:rb ~keys ~kind [ rtr ]
-    | Physical.With_common { common = c; left; right; combine } ->
-      let cb, ctr = exec env c in
-      let env' = Some cb in
-      begin
-        match combine with
-        | Logical.C_union ->
-          let fields = Physical.output_fields left in
-          let lb, ltr = exec env' left in
-          let rb, rtr = exec env' right in
-          let r_layout = Batch.create (Batch.fields rb) in
-          let out = Batch.create fields in
-          if Batch.fields lb = fields then Batch.append_batch out lb
-          else Batch.iter (Batch.add out) lb;
-          Batch.iter (fun row -> Batch.add out (Batch.project_to r_layout fields row)) rb;
-          count_rows (Batch.n_rows out) (List.length fields);
-          mk_node lbl [ ctr; ltr; rtr ] out
-        | Logical.C_join (keys, kind) ->
-          let rb, rtr = exec env' right in
-          join_probe env' lbl ~left ~right_batch:rb ~keys ~kind [ ctr; rtr ]
-      end
+      tr.Op_trace.children <- [ kid ];
+      let held = sum (fun (_, out) -> Batch.n_rows out) states in
+      Op_trace.timed clk tr (fun () ->
+          match states with
+          | [ (_, out) ] -> settle tr ~held [ out ]
+          | states ->
+            (* re-filter each morsel's local survivors against one global
+               seen-set *)
+            let seen = Breaker.Dedup.create ~fields:s.s_fields tags in
+            let out = Batch.create s.s_fields in
+            List.iter (fun (_, part) -> Batch.iter (keep seen out) part) states;
+            settle tr ~held [ out ])
     | Physical.Limit (x, n) ->
       let s = psource env x in
-      let width = List.length s.s_fields in
-      let post b = (b, Batch.n_rows b) in
-      let parts, xnode =
-        run_morsels ~label:lbl ~out_width:width ~early_stop:n
-          ~on_skip:(fun () -> Batch.create s.s_fields)
-          s post
-      in
-      let out = Batch.create s.s_fields in
-      (try
-         Array.iter
-           (fun pb ->
-             Batch.iter
-               (fun row -> if Batch.n_rows out < n then Batch.add out row else raise Exit)
-               pb)
-           parts
-       with Exit -> ());
-      count_rows (Batch.n_rows out) width;
-      mk_node lbl [ xnode ] out
+      let tr = node p in
+      let parts, kid = collect ~node:tr ~cap:n s in
+      tr.Op_trace.children <- [ kid ];
+      settle tr ~held:(rows parts) (take n parts)
     | Physical.Skip (x, n) ->
       let s = psource env x in
-      let width = List.length s.s_fields in
-      let post b = (b, Batch.n_rows b) in
-      let parts, xnode = run_morsels ~label:lbl ~out_width:width s post in
-      let out = Batch.create s.s_fields in
-      let seen = ref 0 in
-      Array.iter
-        (fun pb ->
-          Batch.iter
-            (fun row ->
-              incr seen;
-              if !seen > n then Batch.add out row)
-            pb)
-        parts;
-      count_rows (Batch.n_rows out) width;
-      mk_node lbl [ xnode ] out
+      let tr = node p in
+      let parts, kid = collect ~node:tr s in
+      tr.Op_trace.children <- [ kid ];
+      settle tr ~held:(rows parts) (drop n parts)
     | Physical.Scan _ | Physical.Select _ | Physical.Project _ | Physical.Expand_all _
     | Physical.Expand_into _ | Physical.Expand_intersect _ | Physical.Path_expand _
     | Physical.Unfold _ | Physical.All_distinct _ | Physical.Union _
-    | Physical.Common_ref _ | Physical.Empty _ ->
-      (* streaming region at the root: a plain collecting exchange; the
-         fragment operators already accounted for their emissions *)
-      let s = psource env p in
-      let post b = (b, Batch.n_rows b) in
-      let parts, xnode =
-        run_morsels ~label:lbl ~out_width:(List.length s.s_fields) s post
-      in
-      let out = Batch.concat s.s_fields (Array.to_list parts) in
-      (out, xnode)
+    | Physical.Hash_join _ | Physical.With_common _ | Physical.Common_ref _
+    | Physical.Empty _ ->
+      (* a streaming region: its operators already counted their rows *)
+      collect (psource env p)
   in
-  let result, root_tr = exec None plan in
-  st.Op_trace.operators <- Physical.operator_count plan;
-  st.Op_trace.op_trace <- Some root_tr;
+  let parts, root = exec None plan in
+  let result =
+    match parts with [ b ] -> b | parts -> Batch.concat (Physical.output_fields plan) parts
+  in
+  st.Op_trace.op_trace <- Some root;
   (result, st)

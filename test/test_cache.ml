@@ -315,7 +315,7 @@ let test_workload_cached_vs_cold () =
   let g = Gopt.Session.graph s in
   List.iter
     (fun (q : Queries.query) ->
-      let cold = Gopt.run_cypher ~use_cache:false s q.Queries.cypher in
+      let cold = Gopt.run_logical s (Gopt.cypher_to_gir s q.Queries.cypher) in
       let warm1 = Gopt.run_cypher s q.Queries.cypher in
       let warm2 = Gopt.run_cypher s q.Queries.cypher in
       (match warm2.Gopt.report.Planner.plan_cache with
@@ -346,7 +346,7 @@ let test_random_cached_vs_cold () =
   for seed = 0 to 49 do
     let q = Gen_query.generate seed in
     match
-      let cold = Gopt.run_cypher ~use_cache:false s q in
+      let cold = Gopt.run_logical s (Gopt.cypher_to_gir s q) in
       let _warm1 = Gopt.run_cypher s q in
       let warm2 = Gopt.run_cypher s q in
       (cold, warm2)
@@ -381,7 +381,7 @@ let test_prepared_bindings_and_epoch () =
     ]
   in
   let check_binding i params =
-    let cold = Gopt.run_cypher ~use_cache:false ~params s src in
+    let cold = Gopt.run_logical s (Gopt.cypher_to_gir ~params s src) in
     let prep = Gopt.Prepared.execute ~params prepared in
     Alcotest.(check string)
       (Printf.sprintf "binding %d: prepared = cold" i)
@@ -407,7 +407,7 @@ let test_prepared_bindings_and_epoch () =
   (match post.Gopt.report.Planner.plan_cache with
   | Some note -> Alcotest.(check bool) "post-bump run replans" false note.Planner.cache_hit
   | None -> Alcotest.fail "post-bump run has no cache note");
-  let cold = Gopt.run_cypher ~use_cache:false ~params:(List.hd bindings) s src in
+  let cold = Gopt.run_logical s (Gopt.cypher_to_gir ~params:(List.hd bindings) s src) in
   Alcotest.(check string) "post-bump result identical"
     (render g cold.Gopt.result) (render g post.Gopt.result)
 
@@ -430,7 +430,7 @@ let test_auto_params_share_plan () =
   Alcotest.(check int) "templates share one cache entry" 1
     (st1.Plan_cache.misses - st0.Plan_cache.misses);
   Alcotest.(check int) "second template hits" 1 (st1.Plan_cache.hits - st0.Plan_cache.hits);
-  let cold v = Gopt.run_cypher ~use_cache:false s (src v) in
+  let cold v = Gopt.run_logical s (Gopt.cypher_to_gir s (src v)) in
   Alcotest.(check string) "auto-param binding 20 = cold"
     (render g (cold 20).Gopt.result) (render g r1.Gopt.result);
   Alcotest.(check string) "auto-param binding 40 = cold"

@@ -513,6 +513,35 @@ let prop_planners_agree =
       && via_user Spec.graphscope = expected
       && via_user Spec.neo4j = expected)
 
+(* property: merging sorted runs equals one stable sort of their
+   concatenation, truncated to the limit — ties go to the earlier run *)
+let prop_sorted_run_merge =
+  QCheck.Test.make ~name:"sorted runs: heap merge = stable sort" ~count:200 QCheck.small_int
+    (fun seed ->
+      let module Breaker = Gopt_exec.Breaker in
+      let rng = Prng.create seed in
+      let keys = [ (Expr.Var "a", Logical.Asc); (Expr.Var "b", Logical.Desc) ] in
+      let cmp (ka, _) (kb, _) = Breaker.compare_keys keys ka kb in
+      (* small key domains, so most keys are tied; a row names its run and
+         its position there, so a tie resolved the wrong way shows *)
+      let runs =
+        Array.init (1 + Prng.int rng 300) (fun r ->
+            List.init (Prng.int rng 6) (fun i ->
+                ( [ Value.Int (Prng.int rng 3); Value.Int (Prng.int rng 2) ],
+                  [| Rval.Rval (Value.Int r); Rval.Rval (Value.Int i) |] ))
+            |> List.stable_sort cmp |> Array.of_list)
+      in
+      let total = Array.fold_left (fun n run -> n + Array.length run) 0 runs in
+      let limit = if Prng.bool rng then None else Some (Prng.int rng (total + 3)) in
+      let merged = ref [] in
+      Breaker.Sorted_run.merge keys limit runs (fun row -> merged := row :: !merged);
+      let expected =
+        List.stable_sort cmp (List.concat_map Array.to_list (Array.to_list runs))
+        |> List.filteri (fun i _ -> i < Option.value limit ~default:total)
+        |> List.map snd
+      in
+      List.rev !merged = expected)
+
 let () =
   Alcotest.run "exec"
     [
@@ -545,5 +574,9 @@ let () =
           Alcotest.test_case "chunk-size neutrality" `Quick test_chunk_size_neutral;
           Alcotest.test_case "limit short-circuit" `Quick test_limit_short_circuit;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_planners_agree ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_planners_agree;
+          QCheck_alcotest.to_alcotest prop_sorted_run_merge;
+        ] );
     ]

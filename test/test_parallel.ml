@@ -30,6 +30,8 @@ module Op_trace = Gopt_exec.Op_trace
 module G = Gopt_graph.Property_graph
 module Value = Gopt_graph.Value
 module Prng = Gopt_util.Prng
+module Physical = Gopt_opt.Physical
+module Tc = Gopt_pattern.Type_constraint
 open Fixtures
 
 (* A larger instance of the Fixtures schema, sized so that morsel_size 16
@@ -253,6 +255,54 @@ let test_parallel_accounting () =
     (n4.Engine.exchange_rows > 0);
   Alcotest.(check int) "neo4j profile charges no comm" 0 n4.Engine.comm_rows
 
+(* joins stream: the build side becomes one table that every probe-side
+   morsel probes inside its own fragment, so a join's output is never
+   materialized — fewer rows are ever live at once than a fan-out HashJoin
+   emits *)
+let test_join_output_streams () =
+  (* count the p-f-g-h KNOWS paths, joined on f and then on g: each
+     join multiplies its probe rows by a degree *)
+  let expand from alias =
+    Physical.Expand_all
+      ( Physical.Scan { alias = from; con = Tc.Basic person; pred = None },
+        {
+          Physical.s_edge = pe ~directed:false ("e" ^ alias) 0 1 (Tc.Basic knows);
+          s_from = from;
+          s_to = alias;
+          s_forward = true;
+          s_to_con = Tc.Basic person;
+          s_to_pred = None;
+        } )
+  in
+  let join left right key =
+    Physical.Hash_join { left; right; keys = [ key ]; kind = Gopt_gir.Logical.Inner }
+  in
+  let physical =
+    Physical.Group
+      ( join (join (expand "p" "f") (expand "f" "g") "f") (expand "g" "h") "g",
+        [],
+        [ { Gopt_gir.Logical.agg_fn = Gopt_gir.Logical.Count; agg_arg = None; agg_alias = "c" } ] )
+  in
+  List.iter
+    (fun workers ->
+      let _, st = Engine.run ~workers ~morsel_size:16 big_graph physical in
+      let rec joins (tr : Op_trace.t) =
+        (if String.starts_with ~prefix:"HashJoin" tr.Op_trace.name then [ tr ] else [])
+        @ List.concat_map joins tr.Op_trace.children
+      in
+      let js = match st.Engine.op_trace with Some tr -> joins tr | None -> [] in
+      Alcotest.(check int) (Printf.sprintf "workers %d: two hash joins" workers) 2
+        (List.length js);
+      List.iter
+        (fun (j : Op_trace.t) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "workers %d: peak %d live rows < %s's %d rows out" workers
+               st.Engine.peak_rows j.Op_trace.name j.Op_trace.rows_out)
+            true
+            (st.Engine.peak_rows < j.Op_trace.rows_out))
+        js)
+    [ 1; 4 ]
+
 (* the generator itself: deterministic in the seed, and every query it emits
    is clean under the static checker *)
 let test_generator_deterministic () =
@@ -287,7 +337,10 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "10 runs, varying workers" `Quick test_determinism ] );
       ( "accounting",
-        [ Alcotest.test_case "exchange stats and trace" `Quick test_parallel_accounting ] );
+        [
+          Alcotest.test_case "exchange stats and trace" `Quick test_parallel_accounting;
+          Alcotest.test_case "join output streams" `Quick test_join_output_streams;
+        ] );
       ( "generator",
         [
           Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
