@@ -18,8 +18,8 @@ module Diag = Gopt_check.Diagnostic
 let lint_query session config lang src =
   let front =
     match lang with
-    | "gremlin" -> Gopt.check_gremlin session src
-    | _ -> Gopt.check_cypher session src
+    | `Gremlin -> Gopt.check_gremlin session src
+    | `Cypher -> Gopt.check_cypher session src
   in
   let staged =
     if not (Diag.is_clean front) then []
@@ -27,8 +27,8 @@ let lint_query session config lang src =
       let config = { config with Gopt_opt.Planner.check_plans = true } in
       let gir =
         match lang with
-        | "gremlin" -> Gopt.gremlin_to_gir session src
-        | _ -> Gopt.cypher_to_gir session src
+        | `Gremlin -> Gopt.gremlin_to_gir session src
+        | `Cypher -> Gopt.cypher_to_gir session src
       in
       match
         Gopt_opt.Planner.plan config (Gopt.Session.estimator session) gir
@@ -102,18 +102,49 @@ let valid_workers workers =
     Printf.eprintf "--workers must be at least 1 (got %d)\n" workers;
   workers >= 1
 
+(* So is a chunk size below 1. *)
+let valid_chunk_size = function
+  | Some n when n < 1 ->
+    Printf.eprintf "--chunk-size must be at least 1 (got %d)\n" n;
+    false
+  | _ -> true
+
+(* And so is a value outside an option's accepted set: name the accepted
+   values. *)
+let choice opt accepted v =
+  let found = List.assoc_opt v accepted in
+  if found = None then
+    Printf.eprintf "unknown %s %s; accepted: %s\n" opt v
+      (String.concat ", " (List.map fst accepted));
+  found
+
+let datasets = [ ("ldbc", `Ldbc); ("transfer", `Transfer) ]
+let langs = [ ("cypher", `Cypher); ("gremlin", `Gremlin) ]
+let planners = [ ("gopt", `Gopt); ("cypher", `Cypher); ("gsrbo", `Gsrbo) ]
+
+let backends =
+  [ ("graphscope", Gopt_opt.Physical_spec.graphscope); ("neo4j", Gopt_opt.Physical_spec.neo4j) ]
+
 let run_main dataset persons accounts seed lang planner backend workers chunk_size
     explain analyze stats_only lint workload repeat cache_stats load save query =
-  if not (known_workload workload && valid_workers workers) then 2
-  else
+  let choices =
+    ( choice "--dataset" datasets dataset,
+      choice "--lang" langs lang,
+      choice "--planner" planners planner,
+      choice "--backend" backends backend )
+  in
+  let valid = known_workload workload && valid_workers workers && valid_chunk_size chunk_size in
+  match choices with
+  | None, _, _, _ | _, None, _, _ | _, _, None, _ | _, _, _, None -> 2
+  | _ when not valid -> 2
+  | Some dataset, Some lang, Some planner, Some spec ->
   let graph =
     match load with
     | Some path -> Gopt_graph.Graph_io.load path
     | None -> (
       match dataset with
-      | "ldbc" -> Gopt_workloads.Ldbc.generate ~seed ~persons ()
-      | "transfer" -> Gopt_workloads.Transfer_graph.generate ~seed ~accounts ()
-      | other -> failwith (Printf.sprintf "unknown dataset %S (ldbc|transfer)" other))
+      | `Ldbc -> Gopt_workloads.Ldbc.generate ~seed ~persons ()
+      | `Transfer -> Gopt_workloads.Transfer_graph.generate ~seed ~accounts ())
   in
   (match save with
   | Some path ->
@@ -126,18 +157,11 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
   end
   else begin
     let session = Gopt.Session.create graph in
-    let spec =
-      match backend with
-      | "graphscope" -> Gopt_opt.Physical_spec.graphscope
-      | "neo4j" -> Gopt_opt.Physical_spec.neo4j
-      | other -> failwith (Printf.sprintf "unknown backend %S (graphscope|neo4j)" other)
-    in
     let config =
       match planner with
-      | "gopt" -> Gopt_opt.Baselines.gopt_config spec
-      | "cypher" -> Gopt_opt.Baselines.cypher_planner_config
-      | "gsrbo" -> Gopt_opt.Baselines.gs_rbo_config
-      | other -> failwith (Printf.sprintf "unknown planner %S (gopt|cypher|gsrbo)" other)
+      | `Gopt -> Gopt_opt.Baselines.gopt_config spec
+      | `Cypher -> Gopt_opt.Baselines.cypher_planner_config
+      | `Gsrbo -> Gopt_opt.Baselines.gs_rbo_config
     in
     if lint then run_lint session config lang workload query
     else begin
@@ -158,9 +182,8 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
     else begin
       let run () =
         match lang with
-        | "cypher" -> Gopt.run_cypher ~config ?chunk_size ~workers session query
-        | "gremlin" -> Gopt.run_gremlin ~config ?chunk_size ~workers session query
-        | other -> failwith (Printf.sprintf "unknown language %S (cypher|gremlin)" other)
+        | `Cypher -> Gopt.run_cypher ~config ?chunk_size ~workers session query
+        | `Gremlin -> Gopt.run_gremlin ~config ?chunk_size ~workers session query
       in
       let t0 = Sys.time () in
       let out = run () in

@@ -71,7 +71,8 @@ val run_cypher :
 (** Parse, optimize and execute a Cypher query. [config] defaults to the
     full GOpt pipeline on the GraphScope spec; [profile] defaults to the
     matching engine profile; [budget] (CPU seconds) bounds execution;
-    [chunk_size] sets the engine's pipelined batch granularity. [workers]
+    [chunk_size] sets the engine's pipelined batch granularity (at least
+    1, else [Invalid_argument]). [workers]
     (default 1) is the number of OCaml domains the engine runs on, with
     [morsel_size] rows per work unit; rows and their order are the same for
     every worker count (see {!Gopt_exec.Engine.run}).

@@ -222,6 +222,34 @@ let col t j =
 
 let selection t = t.sel
 
+(* --- column gathers (hash-join output) ------------------------------------ *)
+
+let gather t j rows n =
+  let pick a =
+    match t.sel with
+    | None -> Array.init n (fun i -> a.(rows.(i)))
+    | Some s -> Array.init n (fun i -> a.(s.(rows.(i))))
+  in
+  match t.cols.(j) with
+  | C_vertex a -> D_vertex (pick a)
+  | C_edge a -> D_edge (pick a)
+  | C_boxed a -> D_boxed (pick a)
+  | C_empty -> invalid_arg "Batch.gather: empty column"
+
+let of_data field_list n data =
+  let t = create field_list in
+  if Array.length data <> t.width then
+    invalid_arg
+      (Printf.sprintf "Batch.of_data: %d columns for %d fields" (Array.length data) t.width);
+  Array.iteri
+    (fun j d ->
+      let len = match d with D_vertex a | D_edge a -> Array.length a | D_boxed a -> Array.length a in
+      if len < n then invalid_arg "Batch.of_data: column shorter than the row count";
+      t.cols.(j) <- (match d with D_vertex a -> C_vertex a | D_edge a -> C_edge a | D_boxed a -> C_boxed a))
+    data;
+  t.phys <- n;
+  t
+
 (* --- column-wise append (exchange merge) ---------------------------------- *)
 
 let append_batch dst src =

@@ -105,6 +105,18 @@ val selection : t -> int array option
 (** The selection vector: logical row [i] lives at physical index
     [sel.(i)]; [None] means the identity mapping. *)
 
+val gather : t -> int -> int array -> int -> data
+(** [gather b j rows n] copies column [j] at the logical rows
+    [rows.(0) .. rows.(n-1)] into fresh storage of the same kind: a dense
+    vertex or edge column stays dense. The hash join gathers its output
+    chunk's probe-side columns this way. *)
+
+val of_data : string list -> int -> data array -> t
+(** [of_data fields n cols] is a fresh batch of [n] rows whose column [j]
+    is [cols.(j)] (taken over, not copied; each array holds at least [n]
+    cells). Raises [Invalid_argument] when the column count does not match
+    the layout. Assembles a gathered hash-join output chunk. *)
+
 val append_batch : t -> t -> unit
 (** [append_batch dst src] appends [src]'s logical rows to [dst]
     column-wise (compacting through [src]'s selection vector). Layouts must

@@ -75,7 +75,8 @@ val run :
   Gopt_opt.Physical.t ->
   Batch.t * stats
 (** Execute a plan. [profile] defaults to {!graphscope_profile};
-    [chunk_size] is the pipelined batch granularity (default 1024).
+    [chunk_size] is the pipelined batch granularity (default 1024, at
+    least 1: a smaller value raises [Invalid_argument] naming it).
 
     Scan and filter predicates always run as column-at-a-time kernels
     (falling back to the row interpreter for shapes without one), and

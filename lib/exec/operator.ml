@@ -37,7 +37,7 @@ type sink = {
 
 type step =
   | Op of Physical.t  (** A streaming operator; its input subtree is not run. *)
-  | Probe of Breaker.Join.t  (** Probe a built hash-join table. *)
+  | Probe of Breaker.Join.table  (** Probe an indexed hash-join table. *)
   | Forward of string list
       (** A Union branch: pass rows on, laid out as these fields. *)
 
@@ -235,10 +235,11 @@ let compile ctx frag consumer =
           on_chunk emit_chunk chunk)
     in
     match step with
-    | Probe jc ->
-      unary jc.Breaker.Join.out_fields (fun emit lrow ->
-          tick ();
-          Breaker.Join.probe jc lrow emit)
+    | Probe table ->
+      let buf = Breaker.Join.buffer ~chunk_size in
+      chunked (Breaker.Join.out_fields table) (fun emit_chunk chunk ->
+          tick_n ctx (Batch.n_rows chunk);
+          Breaker.Join.probe table buf chunk emit_chunk)
     | Forward fields ->
       (* a Union branch: rows pass on, the right branch's columns swapped
          into the union's field order *)
@@ -489,21 +490,53 @@ let compile ctx frag consumer =
       let fields = Physical.output_fields x in
       let layout = Batch.create fields in
       let positions = List.map (Batch.pos layout) distinct_fields in
-      unary fields (fun emit row ->
-          tick ();
-          let ids = List.concat_map (fun p -> Rval.edge_ids row.(p)) positions in
-          let distinct =
-            let tbl = Hashtbl.create (List.length ids) in
-            List.for_all
-              (fun e ->
-                if Hashtbl.mem tbl e then false
-                else begin
-                  Hashtbl.add tbl e ();
-                  true
-                end)
-              ids
-          in
-          if distinct then emit row)
+      (* the edge ids of one row, compared pairwise in place: a dense edge
+         column gives one id, a path cell all of its edges *)
+      let ids = ref (Array.make 16 0) and m = ref 0 in
+      let push e =
+        if !m = Array.length !ids then begin
+          let bigger = Array.make (2 * !m) 0 in
+          Array.blit !ids 0 bigger 0 !m;
+          ids := bigger
+        end;
+        !ids.(!m) <- e;
+        incr m
+      in
+      let distinct () =
+        let a = !ids and n = !m in
+        let ok = ref true and i = ref 0 in
+        while !ok && !i < n do
+          for j = !i + 1 to n - 1 do
+            if a.(j) = a.(!i) then ok := false
+          done;
+          incr i
+        done;
+        !ok
+      in
+      chunked fields (fun emit_chunk chunk ->
+          let n = Batch.n_rows chunk in
+          tick_n ctx n;
+          let cols = Array.of_list (List.map (Batch.col chunk) positions) in
+          let sel = Batch.selection chunk in
+          let keep = Array.make n 0 and k = ref 0 in
+          for i = 0 to n - 1 do
+            let p = match sel with Some s -> s.(i) | None -> i in
+            m := 0;
+            for c = 0 to Array.length cols - 1 do
+              match cols.(c) with
+              | Batch.D_edge a -> push a.(p)
+              | Batch.D_vertex _ -> ()
+              | Batch.D_boxed a -> (
+                match a.(p) with
+                | Rval.Redge e -> push e
+                | v -> List.iter push (Rval.edge_ids v))
+            done;
+            if distinct () then begin
+              keep.(!k) <- i;
+              incr k
+            end
+          done;
+          emit_chunk (if !k = n then chunk else Batch.select chunk (Array.sub keep 0 !k)))
     | Op p -> invalid_arg ("Operator: not a streaming operator: " ^ Physical.node_label p)
   in
   let sink =

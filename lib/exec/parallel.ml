@@ -87,6 +87,8 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
     ?(morsel_size = default_morsel_size) ~workers g plan =
   if workers < 1 then invalid_arg "Parallel.run: workers must be >= 1";
   if morsel_size < 1 then invalid_arg "Parallel.run: morsel_size must be >= 1";
+  if chunk_size < 1 then
+    invalid_arg (Printf.sprintf "Engine.run: chunk_size must be >= 1 (got %d)" chunk_size);
   let schema = G.schema g in
   let vuniv = Schema.n_vtypes schema in
   let single = workers = 1 in
@@ -378,9 +380,9 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
       s_held = sa.s_held + sb.s_held;
     }
   in
-  let probe tr (s : src) jc =
-    let s' = add_step s (Operator.Probe jc) tr ~fields:jc.Breaker.Join.out_fields in
-    { s' with s_held = s.s_held + Breaker.Join.size jc }
+  let probe tr (s : src) table =
+    let s' = add_step s (Operator.Probe table) tr ~fields:(Breaker.Join.out_fields table) in
+    { s' with s_held = s.s_held + Breaker.Join.rows table }
   in
   (* [psource env p] decomposes the streaming region rooted at [p]; the
      breakers below it run to completion first, through [exec]. [env] is
@@ -466,21 +468,26 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
         s_branches = [ ({ leaf = None; steps = [] }, slices parts) ];
         s_held = rows parts;
       }
-  (* the build side of a hash join [tr]: one stage into one join table *)
+  (* the build side of a hash join [tr]: one stage into one join table,
+     indexed here, on the coordinating domain, before any probe starts *)
   and build env tr right ~left_fields ~keys ~kind =
     let s = psource env right in
-    let tables, kid =
+    let partials, kid =
       stage ~node:tr ~width:(List.length s.s_fields) s
         ~init:(fun () ->
           Breaker.Join.create ~left_fields ~right_fields:s.s_fields ~keys ~kind)
         ~add:(fun wst jc chunk ->
-          Batch.iter (Breaker.Join.build jc) chunk;
+          Breaker.Join.add jc chunk;
           Op_trace.live_add wst (Batch.n_rows chunk))
         ~size:Breaker.Join.size
     in
-    let jc = List.hd tables in
-    Op_trace.timed clk tr (fun () -> List.iter (Breaker.Join.merge jc) (List.tl tables));
-    (jc, kid)
+    let table =
+      Op_trace.timed clk tr (fun () ->
+          let jc = List.hd partials in
+          List.iter (Breaker.Join.merge jc) (List.tl partials);
+          Breaker.Join.index jc)
+    in
+    (table, kid)
   (* [exec env p] evaluates [p] to its output parts and trace node *)
   and exec env (p : Physical.t) : Batch.t list * Op_trace.t =
     let sum size states = List.fold_left (fun n x -> n + size x) 0 states in
@@ -493,9 +500,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
         stage ~node:tr ~width:(List.length fields) s
           ~init:(fun () -> Breaker.Group.create g ~fields:s.s_fields ks aggs)
           ~add:(fun wst grp chunk ->
-            Batch.iter
-              (fun row -> if Breaker.Group.add grp row then Op_trace.live_add wst 1)
-              chunk)
+            Op_trace.live_add wst (Breaker.Group.add_chunk grp chunk))
           ~size:Breaker.Group.length
       in
       tr.Op_trace.children <- [ kid ];

@@ -9,7 +9,12 @@
    KNOWS segment), an optional WHERE over the bound variables, and a RETURN
    that is either a plain (optionally DISTINCT) projection or an implicit
    group-by with aggregates — optionally followed by ORDER BY / SKIP /
-   LIMIT, and occasionally wrapped into a UNION of two compatible halves. *)
+   LIMIT, and occasionally wrapped into a UNION of two compatible halves.
+
+   [generate_joins] draws a second family on its own seeds: the same MATCH,
+   followed by an OPTIONAL MATCH, a [WHERE (pattern)] or a
+   [WHERE NOT (pattern)] hanging one edge off a bound variable, so that the
+   plan holds a Left_outer, Semi or Anti hash join. *)
 
 module Prng = Gopt_util.Prng
 
@@ -182,3 +187,41 @@ let generate seed =
     let all = if Prng.bool rng then " ALL" else "" in
     Printf.sprintf "%s UNION%s %s" (gen_union_half rng) all (gen_union_half rng)
   else gen_single rng
+
+(* one schema edge incident to [node], from [node] to a vertex named [var]
+   (empty for an anonymous one) *)
+let gen_hanging_edge rng (node : node) var =
+  let candidates =
+    Array.to_list triples
+    |> List.concat_map (fun (s, e, d) ->
+           (if s = node.label then [ (e, d, true) ] else [])
+           @ if d = node.label then [ (e, s, false) ] else [])
+  in
+  let e, label, forward = List.nth candidates (Prng.int rng (List.length candidates)) in
+  let other = Printf.sprintf "(%s:%s)" var (vname label) in
+  ( (if forward then Printf.sprintf "(%s)-[:%s]->%s" node.var e other
+     else Printf.sprintf "(%s)<-[:%s]-%s" node.var e other),
+    { var; label } )
+
+let generate_joins seed =
+  let rng = Prng.create seed in
+  let pattern, nodes = gen_pattern rng in
+  let anchor = List.nth nodes (Prng.int rng (List.length nodes)) in
+  let where = gen_where rng nodes in
+  let clause, nodes =
+    match Prng.int rng 3 with
+    | 0 ->
+      let edge, w = gen_hanging_edge rng anchor "w" in
+      (Printf.sprintf "%s OPTIONAL MATCH %s" where edge, nodes @ [ w ])
+    | k ->
+      let edge, _ = gen_hanging_edge rng anchor "" in
+      let pred = Printf.sprintf "%s%s" (if k = 1 then "" else "NOT ") edge in
+      let clause =
+        if where = "" then Printf.sprintf " WHERE %s" pred
+        else Printf.sprintf "%s AND %s" where pred
+      in
+      (clause, nodes)
+  in
+  let ret, aliases = gen_return rng nodes in
+  let tail = gen_tail rng aliases in
+  Printf.sprintf "MATCH %s%s RETURN %s%s" pattern clause ret tail

@@ -542,6 +542,144 @@ let prop_sorted_run_merge =
       in
       List.rev !merged = expected)
 
+(* property: the column hash-join table equals a nested loop that returns
+   each probe row's matches in reverse build-arrival order. Key columns are
+   dense vertex ids, boxed scalars, or vertex ids promoted to boxed by an
+   Rnull, chosen per chunk and so mixed across the two sides; build chunks
+   are sometimes selection views; 1-3 partial build states merge in
+   order. *)
+let prop_join_table =
+  QCheck.Test.make ~name:"join table = nested loop, reverse build order" ~count:300
+    QCheck.small_int (fun seed ->
+      let module Join = Gopt_exec.Breaker.Join in
+      let rng = Prng.create seed in
+      let nkeys = Prng.int rng 3 in
+      let keys = List.init nkeys (Printf.sprintf "k%d") in
+      let kind =
+        [| Logical.Inner; Logical.Left_outer; Logical.Semi; Logical.Anti |].(Prng.int rng 4)
+      in
+      let cs = [| 1; 7; 1024 |].(Prng.int rng 3) in
+      (* one chunk's rows: [payload] fills the non-key columns of row [i] *)
+      let chunk fields payload =
+        let mode = Prng.int rng 3 in
+        let cell () =
+          let k = Prng.int rng 3 in
+          match mode with
+          | 0 -> Rval.Rvertex k
+          | 1 -> Rval.Rval (Value.Int k)
+          | _ -> if Prng.int rng 4 = 0 then Rval.Rnull else Rval.Rvertex k
+        in
+        let rows =
+          List.init (1 + Prng.int rng 12) (fun i ->
+              Array.of_list (List.map (fun _ -> cell ()) keys @ payload i))
+        in
+        let b = Batch.of_rows fields rows in
+        if Prng.bool rng then b
+        else
+          (* a selection view over a shuffled subset *)
+          let idx = Array.init (Batch.n_rows b) Fun.id in
+          Prng.shuffle rng idx;
+          Batch.select b (Array.sub idx 0 (1 + Prng.int rng (Array.length idx)))
+      in
+      let right_fields = keys @ [ "r"; "re" ] in
+      let left_fields = keys @ [ "l" ] in
+      let next_id = ref 0 in
+      let build_chunk () =
+        chunk right_fields (fun _ ->
+            incr next_id;
+            [ Rval.Rval (Value.Int !next_id); Rval.Redge !next_id ])
+      in
+      let partials =
+        List.init (1 + Prng.int rng 3) (fun _ ->
+            let jc = Join.create ~left_fields ~right_fields ~keys ~kind in
+            let chunks = List.init (Prng.int rng 4) (fun _ -> build_chunk ()) in
+            List.iter (Join.add jc) chunks;
+            (jc, chunks))
+      in
+      let jc = fst (List.hd partials) in
+      List.iter (fun (p, _) -> Join.merge jc p) (List.tl partials);
+      let table = Join.index jc in
+      let build_rows =
+        List.concat_map
+          (fun (_, chunks) ->
+            List.concat_map
+              (fun b -> List.init (Batch.n_rows b) (Batch.row b))
+              chunks)
+          partials
+      in
+      let probe_batches =
+        List.init (1 + Prng.int rng 3) (fun _ ->
+            chunk left_fields (fun i -> [ Rval.Rval (Value.Int (1000 + i)) ]))
+      in
+      (* the table's output, probing in chunks of [cs] rows *)
+      let buf = Join.buffer ~chunk_size:cs in
+      let out = ref [] and oversized = ref false in
+      List.iter
+        (fun b ->
+          let n = Batch.n_rows b in
+          let at = ref 0 in
+          while !at < n do
+            let len = min cs (n - !at) in
+            Join.probe table buf (Batch.sub b ~pos:!at ~len) (fun o ->
+                if Batch.n_rows o > cs then oversized := true;
+                Batch.iter (fun row -> out := Array.to_list row :: !out) o);
+            at := !at + len
+          done)
+        probe_batches;
+      (* the nested loop *)
+      let expected = ref [] in
+      let emit row = expected := row :: !expected in
+      let key_of row = List.filteri (fun i _ -> i < nkeys) (Array.to_list row) in
+      List.iter
+        (fun b ->
+          Batch.iter
+            (fun lrow ->
+              let matches =
+                List.rev
+                  (List.filter
+                     (fun rrow -> List.equal Rval.equal (key_of lrow) (key_of rrow))
+                     build_rows)
+              in
+              let extra rrow = [ rrow.(nkeys); rrow.(nkeys + 1) ] in
+              let l = Array.to_list lrow in
+              match kind, matches with
+              | (Logical.Inner | Logical.Left_outer), _ :: _ ->
+                List.iter (fun r -> emit (l @ extra r)) matches
+              | Logical.Left_outer, [] -> emit (l @ [ Rval.Rnull; Rval.Rnull ])
+              | Logical.Semi, _ :: _ | Logical.Anti, [] -> emit l
+              | Logical.Inner, [] | Logical.Semi, [] | Logical.Anti, _ :: _ -> ())
+            b)
+        probe_batches;
+      Join.out_fields table
+      = (match kind with
+        | Logical.Semi | Logical.Anti -> left_fields
+        | Logical.Inner | Logical.Left_outer -> left_fields @ [ "r"; "re" ])
+      && (not !oversized)
+      && List.equal (List.equal Rval.equal) (List.rev !expected) (List.rev !out))
+
+(* a chunk size below 1 is rejected up front, naming the value *)
+let test_chunk_size_checked () =
+  let scan = Physical.Scan { alias = "a"; con = Tc.Basic person; pred = None } in
+  List.iter
+    (fun cs ->
+      match Engine.run ~chunk_size:cs graph scan with
+      | _ -> Alcotest.failf "chunk_size %d accepted" cs
+      | exception Invalid_argument msg ->
+        let contains sub =
+          let n = String.length sub and m = String.length msg in
+          let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "message %S names chunk_size %d" msg cs)
+          true
+          (contains "chunk_size" && contains (string_of_int cs)))
+    [ 0; -2 ];
+  let session = Gopt.Session.create graph in
+  match Gopt.run_cypher ~chunk_size:0 session "MATCH (a:Person) RETURN count(*) AS c" with
+  | _ -> Alcotest.fail "Gopt.run_cypher accepted chunk_size 0"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "exec"
     [
@@ -567,6 +705,7 @@ let () =
           Alcotest.test_case "contains scan" `Quick test_contains;
           Alcotest.test_case "value hash int/float" `Quick test_value_hash_agreement;
           Alcotest.test_case "kernel trace counters" `Quick test_kernel_trace_counters;
+          Alcotest.test_case "chunk_size checked" `Quick test_chunk_size_checked;
         ] );
       ( "pipelined-vs-materialized",
         [
@@ -578,5 +717,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_planners_agree;
           QCheck_alcotest.to_alcotest prop_sorted_run_merge;
+          QCheck_alcotest.to_alcotest prop_join_table;
         ] );
     ]

@@ -157,6 +157,55 @@ let test_random_differential () =
         (Printexc.to_string e) q
   done
 
+(* a second family of random queries, on seeds of their own, whose plans
+   hold Left_outer, Semi and Anti hash joins ([Gen_query.generate_joins]) *)
+let join_seeds = List.init 120 (fun i -> 10_000 + i)
+
+let test_random_join_differential () =
+  let s = Lazy.force session in
+  let chunk_sizes = [| 1; 7; 1024 |] in
+  List.iter
+    (fun seed ->
+      let q = Gen_query.generate_joins seed in
+      let chunk_size = chunk_sizes.(seed mod 3) in
+      match Gopt.plan_cypher s q with
+      | physical, _ -> (
+        try
+          check_one ~chunk_size
+            ~name:(Printf.sprintf "join seed %d (chunk=%d)" seed chunk_size)
+            ~g:big_graph physical
+        with e -> Alcotest.failf "join seed %d: %s\nquery:\n  %s" seed (Printexc.to_string e) q)
+      | exception e ->
+        Alcotest.failf "join seed %d failed to plan (%s); query:\n  %s" seed
+          (Printexc.to_string e) q)
+    join_seeds
+
+(* every join kind occurs among those seeds' plans *)
+let test_join_kinds_covered () =
+  let s = Lazy.force session in
+  let rec kinds (p : Physical.t) =
+    match p with
+    | Physical.Hash_join { left; right; kind; _ } -> (kind :: kinds left) @ kinds right
+    | Physical.With_common { common; left; right; combine } ->
+      (match combine with Gopt_gir.Logical.C_join (_, k) -> [ k ] | Gopt_gir.Logical.C_union -> [])
+      @ kinds common @ kinds left @ kinds right
+    | Physical.Union (a, b) -> kinds a @ kinds b
+    | Physical.Scan _ | Physical.Common_ref _ | Physical.Empty _ -> []
+    | Physical.Expand_all (x, _) | Physical.Expand_into (x, _) | Physical.Expand_intersect (x, _)
+    | Physical.Path_expand (x, _) | Physical.Select (x, _) | Physical.Project (x, _)
+    | Physical.Group (x, _, _) | Physical.Unfold (x, _, _) | Physical.Dedup (x, _)
+    | Physical.All_distinct (x, _) | Physical.Order (x, _, _) | Physical.Limit (x, _)
+    | Physical.Skip (x, _) ->
+      kinds x
+  in
+  let seen =
+    List.concat_map (fun seed -> kinds (fst (Gopt.plan_cypher s (Gen_query.generate_joins seed))))
+      join_seeds
+  in
+  List.iter
+    (fun (name, k) -> Alcotest.(check bool) (name ^ " join planned") true (List.mem k seen))
+    Gopt_gir.Logical.[ ("left outer", Left_outer); ("semi", Semi); ("anti", Anti) ]
+
 (* the full LDBC workload suite: sequential, workers=1 and workers=4 match
    exactly at chunk sizes 1, 7 and 1024, and the oracle up to tie cuts *)
 module Queries = Gopt_workloads.Queries
@@ -314,17 +363,21 @@ let test_generator_deterministic () =
 
 let test_generator_clean () =
   let s = Lazy.force session in
-  for seed = 0 to n_random - 1 do
-    let q = Gen_query.generate seed in
-    (* unused-binding warnings are expected — random projections rarely touch
-       every pattern variable — but any static ERROR means the generator
-       emitted an ill-formed query *)
-    match Gopt_check.Diagnostic.errors (Gopt.check_cypher s q) with
-    | [] -> ()
-    | errs ->
-      Alcotest.failf "seed %d: generator emitted an erroneous query:\n  %s\n%s" seed q
-        (Gopt.render_diagnostics errs)
-  done
+  let queries =
+    List.init n_random (fun seed -> (seed, Gen_query.generate seed))
+    @ List.map (fun seed -> (seed, Gen_query.generate_joins seed)) join_seeds
+  in
+  List.iter
+    (fun (seed, q) ->
+      (* unused-binding warnings are expected — random projections rarely
+         touch every pattern variable — but any static ERROR means the
+         generator emitted an ill-formed query *)
+      match Gopt_check.Diagnostic.errors (Gopt.check_cypher s q) with
+      | [] -> ()
+      | errs ->
+        Alcotest.failf "seed %d: generator emitted an erroneous query:\n  %s\n%s" seed q
+          (Gopt.render_diagnostics errs))
+    queries
 
 let () =
   Alcotest.run "parallel"
@@ -332,6 +385,9 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "random queries (220 seeds)" `Quick test_random_differential;
+          Alcotest.test_case "random join queries (120 seeds)" `Quick
+            test_random_join_differential;
+          Alcotest.test_case "random join kinds covered" `Quick test_join_kinds_covered;
           Alcotest.test_case "workload suite" `Quick test_workload_differential;
         ] );
       ( "determinism",
