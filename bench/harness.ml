@@ -47,22 +47,6 @@ let run_phys ?(profile = Engine.graphscope_profile) ?(budget = bench_budget) gra
     }
   | exception Engine.Timeout -> ot
 
-(* Full rendering of a result: its fields, then every row in order. Two
-   results render equal exactly when they are byte-identical. *)
-let render graph b =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (String.concat "|" (Batch.fields b));
-  Batch.iter
-    (fun row ->
-      Buffer.add_char buf '\n';
-      Array.iter
-        (fun v ->
-          Buffer.add_string buf (Format.asprintf "%a" (Gopt_exec.Rval.pp graph) v);
-          Buffer.add_char buf '|')
-        row)
-    b;
-  Buffer.contents buf
-
 let run_cypher ?profile ?budget session config query =
   let physical, _report = Gopt.plan_cypher ~config session query in
   run_phys ?profile ?budget (Gopt.Session.graph session) physical

@@ -9,8 +9,6 @@
 
 module H = Harness
 module Engine = Gopt_exec.Engine
-module Batch = Gopt_exec.Batch
-module Eval = Gopt_exec.Eval
 module Planner = Gopt_opt.Planner
 module Physical = Gopt_opt.Physical
 module Spec = Gopt_opt.Physical_spec
@@ -628,410 +626,6 @@ let trace () =
     (float_of_int mat.Engine.peak_rows
     /. float_of_int (max 1 out.Gopt.exec_stats.Engine.peak_rows))
 
-(* ------------------------------------------------------------ parallel -- *)
-
-(* Morsel-driven scaling experiment: the same scan-heavy queries at 1/2/4/8
-   workers, wall-clock timed (CPU time would sum across domains and hide any
-   speedup). Results are checked byte-identical across worker counts while
-   we're at it — the determinism contract, at bench scale.
-
-   Speedup is bounded by the cores actually available: on a single-core
-   machine every worker count degenerates to ~1.0x (the morsel machinery
-   then measures its own overhead), which is the expected reading there. *)
-let parallel () =
-  let session = H.ldbc_session H.bench_persons in
-  let graph = Gopt.Session.graph session in
-  let queries =
-    [
-      ( "2hop-count",
-        "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) RETURN count(*) AS c" );
-      ( "group-by",
-        "MATCH (p:Person)-[:KNOWS]->(q:Person) RETURN q.gender AS g, count(*) AS c, \
-         avg(p.birthday) AS ab" );
-      ( "topk",
-        "MATCH (p:Person)-[:KNOWS]->(q:Person) RETURN p.firstName AS n, count(*) AS deg \
-         ORDER BY deg DESC, n ASC LIMIT 10" );
-    ]
-  in
-  let worker_counts = [ 1; 2; 4; 8 ] in
-  Printf.printf "available cores: %d recommended domains\n"
-    (Domain.recommended_domain_count ());
-  let rows =
-    List.map
-      (fun (name, q) ->
-        let physical, _ = Gopt.plan_cypher session q in
-        let time w =
-          let t0 = Unix.gettimeofday () in
-          let b, s = Engine.run ~workers:w graph physical in
-          (Unix.gettimeofday () -. t0, b, s)
-        in
-        (* warm-up, then one timed run per worker count *)
-        ignore (time 1);
-        let t1, b1, _ = time 1 in
-        let timed =
-          List.map
-            (fun w ->
-              let t, b, s = time w in
-              if H.render graph b <> H.render graph b1 then
-                failwith (Printf.sprintf "%s: workers=%d changed the result!" name w);
-              (w, t, s))
-            worker_counts
-        in
-        name :: Printf.sprintf "%d" (Batch.n_rows b1)
-        :: List.concat_map
-             (fun (_, t, (s : Engine.stats)) ->
-               [ Printf.sprintf "%.3fs (%.2fx)" t (t1 /. t);
-                 string_of_int s.Engine.exchange_rows ])
-             timed)
-      queries
-  in
-  H.print_table
-    ~title:
-      (Printf.sprintf
-         "Parallel scaling: morsel-driven engine, wall clock (persons=%d)"
-         H.bench_persons)
-    ~header:
-      ([ "query"; "rows" ]
-      @ List.concat_map
-          (fun w -> [ Printf.sprintf "w=%d" w; "xch rows" ])
-          worker_counts)
-    rows
-
-(* ---------------------------------------------------------- plan cache -- *)
-
-(* Online-serving amortization: cold optimize+execute vs repeated executions
-   of the same template through the session plan cache. Per workload query:
-   one cold plan (no cache), one cold execution, then
-   GOPT_BENCH_CACHE_CONSULTS consults through the cache (first misses and
-   plans, the rest hit), with the hit rate taken from the cache's own
-   counters. The cached plan is also executed at workers 1 and 4 and the
-   results, fully rendered (every row, in order), compared byte-for-byte.
-   Emits BENCH_plan_cache.json. *)
-let plan_cache_bench () =
-  let session = H.ldbc_session H.bench_persons in
-  let graph = Gopt.Session.graph session in
-  let consults = max 2 (H.env_int "GOPT_BENCH_CACHE_CONSULTS" 10_000) in
-  let queries = Queries.comprehensive @ Queries.qr @ Queries.qt @ Queries.qc in
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (Sys.time () -. t0, r)
-  in
-  let fnum v = if Float.is_nan v then "null" else Printf.sprintf "%.6e" v in
-  let rows = ref [] and json = ref [] and hit_rates = ref [] in
-  let plan_speedups = ref [] in
-  List.iter
-    (fun (q : Queries.query) ->
-      let src = q.Queries.cypher in
-      let t_plan, physical =
-        time (fun () -> fst (Gopt.plan_cypher ~use_cache:false session src))
-      in
-      let exec = H.run_phys graph physical in
-      let st0 = Gopt.Session.plan_cache_stats session in
-      let t_total, () =
-        time (fun () ->
-            for _ = 1 to consults do
-              ignore (Gopt.plan_cypher ~use_cache:true session src)
-            done)
-      in
-      let st1 = Gopt.Session.plan_cache_stats session in
-      let hits = st1.Gopt_cache.Plan_cache.hits - st0.Gopt_cache.Plan_cache.hits in
-      let hit_rate = float_of_int hits /. float_of_int consults in
-      hit_rates := hit_rate :: !hit_rates;
-      let t_consult = t_total /. float_of_int consults in
-      if t_consult > 0.0 then plan_speedups := (t_plan /. t_consult) :: !plan_speedups;
-      let identical =
-        match
-          let b1, _ = Engine.run ~budget:H.bench_budget ~workers:1 graph physical in
-          let b4, _ = Engine.run ~budget:H.bench_budget ~workers:4 graph physical in
-          H.render graph b1 = H.render graph b4
-        with
-        | true -> "yes"
-        | false -> "NO"
-        | exception Engine.Timeout -> "OT"
-      in
-      let exec_s = if H.is_ot exec then nan else exec.H.cpu in
-      (* per-execution latency after n executions of the template *)
-      let amort_cold = t_plan +. exec_s in
-      let amort_cached n = (t_plan /. float_of_int n) +. t_consult +. exec_s in
-      rows :=
-        [
-          q.Queries.name;
-          Printf.sprintf "%.3f" (t_plan *. 1e3);
-          Printf.sprintf "%.1f" (t_consult *. 1e6);
-          Printf.sprintf "%.2f%%" (hit_rate *. 100.0);
-          (if H.is_ot exec then "OT" else Printf.sprintf "%.3f" (exec_s *. 1e3));
-          (if H.is_ot exec then "-" else Printf.sprintf "%.3f" (amort_cold *. 1e3));
-          (if H.is_ot exec then "-" else Printf.sprintf "%.3f" (amort_cached 100 *. 1e3));
-          (if H.is_ot exec then "-" else Printf.sprintf "%.3f" (amort_cached 10_000 *. 1e3));
-          identical;
-        ]
-        :: !rows;
-      json :=
-        Printf.sprintf
-          "    {\"query\": %S, \"plan_cold_s\": %s, \"consult_warm_s\": %s, \
-           \"exec_s\": %s, \"hit_rate\": %.6f, \"consults\": %d, \
-           \"amortized_s\": {\"n1\": %s, \"n100\": %s, \"n10000\": %s}, \
-           \"workers_1_eq_4\": %S}"
-          q.Queries.name (fnum t_plan) (fnum t_consult) (fnum exec_s) hit_rate
-          consults (fnum amort_cold)
-          (fnum (amort_cached 100))
-          (fnum (amort_cached 10_000))
-          identical
-        :: !json)
-    queries;
-  H.print_table
-    ~title:
-      (Printf.sprintf
-         "Plan cache: cold optimize vs cached consult (%d consults/query); \
-          amortized per-execution latency"
-         consults)
-    ~header:
-      [
-        "query"; "plan cold (ms)"; "consult (us)"; "hit rate"; "exec (ms)";
-        "amort n=1 (ms)"; "n=100"; "n=10k"; "w1=w4";
-      ]
-    (List.rev !rows);
-  let st = Gopt.Session.plan_cache_stats session in
-  Printf.printf
-    "plan cache totals: %d entries (cap %d), %d hits, %d misses, %d evictions, %d \
-     invalidations\n"
-    st.Gopt_cache.Plan_cache.entries st.Gopt_cache.Plan_cache.capacity
-    st.Gopt_cache.Plan_cache.hits st.Gopt_cache.Plan_cache.misses
-    st.Gopt_cache.Plan_cache.evictions st.Gopt_cache.Plan_cache.invalidations;
-  let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs)) in
-  Printf.printf "mean hit rate at %d consults/query: %.2f%%; plan->consult speedup %.0fx (geo)\n"
-    consults
-    (mean !hit_rates *. 100.0)
-    (H.geomean !plan_speedups);
-  let oc = open_out "BENCH_plan_cache.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"plan_cache\",\n  \"persons\": %d,\n  \"consults_per_query\": %d,\n\
-    \  \"mean_hit_rate\": %.6f,\n  \"queries\": [\n%s\n  ]\n}\n"
-    H.bench_persons consults (mean !hit_rates)
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Printf.printf "wrote BENCH_plan_cache.json\n"
-
-(* ---------------------------------------------------------- vectorized -- *)
-
-(* Compiled predicate kernels vs the row interpreter, at the Eval level. Per
-   query the plan's predicates are collected: each scan predicate with the
-   scan's chunks (vertex-id slices of the type index, as the engine builds
-   them) and each Select predicate with its materialized input cut into
-   chunks of the same size. Over identical chunks, one pass narrows every
-   chunk with [Eval.run_kernel] and the other keeps the rows on which
-   [Eval.eval] is true, one row at a time; the survivors must agree exactly.
-   The reported speedup is the ratio of the two passes' median wall-clock
-   times. Plans containing only scans, filters, projections and row-number
-   cuts are tagged filter/projection-dominated; the acceptance summary is the
-   geomean speedup over that subset (target: >= 1.5x). Emits
-   BENCH_exec.json. *)
-let vectorized_bench () =
-  let session = H.ldbc_session H.bench_persons in
-  let graph = Gopt.Session.graph session in
-  let vuniv = Gopt_graph.Schema.n_vtypes (Gopt.Session.schema session) in
-  let chunk_size = 1024 in
-  let queries =
-    Queries.vs
-    @ [
-        (* expansion/aggregation-heavy contrast rows: their predicates sit
-           on scans and on joined rows *)
-        Queries.find Queries.comprehensive "BI1";
-        Queries.find Queries.comprehensive "BI12";
-      ]
-  in
-  let rec filter_dominated = function
-    | Physical.Scan _ | Physical.Empty _ -> true
-    | Physical.Select (x, _)
-    | Physical.Project (x, _)
-    | Physical.Limit (x, _)
-    | Physical.Skip (x, _)
-    | Physical.Dedup (x, _) ->
-      filter_dominated x
-    | Physical.Union (a, b) -> filter_dominated a && filter_dominated b
-    | _ -> false
-  in
-  let children = function
-    | Physical.Scan _ | Physical.Empty _ | Physical.Common_ref _ -> []
-    | Physical.Select (x, _)
-    | Physical.Project (x, _)
-    | Physical.Group (x, _, _)
-    | Physical.Order (x, _, _)
-    | Physical.Limit (x, _)
-    | Physical.Skip (x, _)
-    | Physical.Unfold (x, _, _)
-    | Physical.Dedup (x, _)
-    | Physical.All_distinct (x, _)
-    | Physical.Expand_all (x, _)
-    | Physical.Expand_into (x, _)
-    | Physical.Expand_intersect (x, _)
-    | Physical.Path_expand (x, _) ->
-      [ x ]
-    | Physical.Union (a, b) -> [ a; b ]
-    | Physical.Hash_join { left; right; _ } -> [ left; right ]
-    | Physical.With_common { common; left; right; _ } -> [ common; left; right ]
-  in
-  let slices b =
-    List.init
-      ((Batch.n_rows b + chunk_size - 1) / chunk_size)
-      (fun i ->
-        let pos = i * chunk_size in
-        Batch.sub b ~pos ~len:(min chunk_size (Batch.n_rows b - pos)))
-  in
-  (* (fields, predicate, input chunks) for every predicate in the plan;
-     Selects under a WithCommon's shared input cannot run on their own and
-     are left out *)
-  let rec sites p =
-    let here =
-      match p with
-      | Physical.Scan { alias; con; pred = Some pred } ->
-        let chunks =
-          List.concat_map
-            (fun t ->
-              let verts = Gopt_graph.Property_graph.vertices_of_vtype graph t in
-              slices (Batch.of_vertex_ids alias verts ~pos:0 ~len:(Array.length verts)))
-            (Tc.to_list ~universe:vuniv con)
-        in
-        [ ([ alias ], pred, chunks) ]
-      | Physical.Select (x, pred) -> (
-        match Engine.run ~budget:H.bench_budget graph x with
-        | input, _ -> [ (Physical.output_fields x, pred, slices input) ]
-        | exception Failure _ -> [])
-      | _ -> []
-    in
-    here @ List.concat_map sites (children p)
-  in
-  let kernel_pass kernels () =
-    List.map
-      (fun (k, chunks) ->
-        List.map
-          (fun b -> Eval.run_kernel k b (Array.init (Batch.n_rows b) Fun.id))
-          chunks)
-      kernels
-  in
-  let row_pass sites () =
-    List.map
-      (fun (_, pred, chunks) ->
-        List.map
-          (fun b ->
-            let keep = ref [] in
-            for i = Batch.n_rows b - 1 downto 0 do
-              if Eval.is_true (Eval.eval graph (Batch.lookup b i) pred) then
-                keep := i :: !keep
-            done;
-            Array.of_list !keep)
-          chunks)
-      sites
-  in
-  (* median wall-clock seconds of one pass, after a warm-up pass *)
-  let median_time f =
-    let out = f () in
-    let times = ref [] and total = ref 0.0 in
-    while !total < 0.2 && List.length !times < 200 do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      times := dt :: !times;
-      total := !total +. dt
-    done;
-    let sorted = Array.of_list (List.sort compare !times) in
-    (out, sorted.(Array.length sorted / 2))
-  in
-  let fnum v = if Float.is_nan v then "null" else Printf.sprintf "%.6e" v in
-  let rows = ref [] and json = ref [] in
-  let all_sps = ref [] and fdom_sps = ref [] in
-  List.iter
-    (fun (q : Queries.query) ->
-      let physical, _ = Gopt.plan_cypher session q.Queries.cypher in
-      let fdom = filter_dominated physical in
-      let sites = sites physical in
-      let kernels =
-        List.map
-          (fun (fields, pred, chunks) -> (Eval.compile graph ~fields pred, chunks))
-          sites
-      in
-      let n_in =
-        List.fold_left
-          (fun acc (_, _, chunks) ->
-            List.fold_left (fun acc b -> acc + Batch.n_rows b) acc chunks)
-          0 sites
-      in
-      let specialized = List.exists (fun (k, _) -> Eval.vectorized k) kernels in
-      let k_out, t_kernel = median_time (kernel_pass kernels) in
-      let r_out, t_row = median_time (row_pass sites) in
-      if k_out <> r_out then
-        failwith
-          (Printf.sprintf "%s: kernel and row interpreter disagree!" q.Queries.name);
-      let survivors =
-        List.fold_left
-          (List.fold_left (fun acc a -> acc + Array.length a))
-          0 k_out
-      in
-      let sp = if sites = [] then nan else t_row /. t_kernel in
-      if sites <> [] then begin
-        all_sps := sp :: !all_sps;
-        if fdom then fdom_sps := sp :: !fdom_sps
-      end;
-      let mrps t =
-        if sites = [] then "-" else Printf.sprintf "%.2f" (float_of_int n_in /. t /. 1e6)
-      in
-      rows :=
-        [
-          q.Queries.name;
-          (if fdom then "yes" else "no");
-          string_of_int (List.length sites);
-          (if specialized then "yes" else "no");
-          string_of_int n_in;
-          string_of_int survivors;
-          mrps t_kernel;
-          mrps t_row;
-          (if sites = [] then "-" else Printf.sprintf "%.2fx" sp);
-        ]
-        :: !rows;
-      json :=
-        Printf.sprintf
-          "    {\"query\": %S, \"filter_dominated\": %b, \"predicates\": %d, \
-           \"specialized\": %b, \"input_rows\": %d, \"survivors\": %d, \
-           \"kernel_s\": %s, \"row_s\": %s, \"kernel_rows_per_s\": %s, \
-           \"row_rows_per_s\": %s, \"speedup\": %s, \"identical\": true}"
-          q.Queries.name fdom (List.length sites) specialized n_in survivors
-          (fnum t_kernel) (fnum t_row)
-          (fnum (float_of_int n_in /. t_kernel))
-          (fnum (float_of_int n_in /. t_row))
-          (fnum sp)
-        :: !json)
-    queries;
-  H.print_table
-    ~title:
-      (Printf.sprintf
-         "Predicate kernels vs row interpreter over the same chunks, median wall \
-          clock (persons=%d, chunk=%d rows)"
-         H.bench_persons chunk_size)
-    ~header:
-      [
-        "query"; "f/p-dom"; "preds"; "column loop"; "rows in"; "survivors";
-        "Mrow/s kernel"; "Mrow/s row"; "speedup";
-      ]
-    (List.rev !rows);
-  let geo_fdom = H.geomean !fdom_sps and geo_all = H.geomean !all_sps in
-  Printf.printf
-    "kernel vs row geomean speedup: %.2fx filter/projection-dominated%s; %.2fx all\n"
-    geo_fdom
-    (if geo_fdom >= 1.5 then " (meets the 1.5x target)"
-     else " (below the 1.5x target at this scale)")
-    geo_all;
-  let oc = open_out "BENCH_exec.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"vectorized\",\n  \"persons\": %d,\n  \"chunk_size\": %d,\n\
-    \  \"filter_dominated_geomean_speedup\": %s,\n\
-    \  \"geomean_speedup\": %s,\n\
-    \  \"queries\": [\n%s\n  ]\n}\n"
-    H.bench_persons chunk_size (fnum geo_fdom) (fnum geo_all)
-    (String.concat ",\n" (List.rev !json));
-  close_out oc;
-  Printf.printf "wrote BENCH_exec.json\n"
-
 (* ---------------------------------------------------------------- main -- *)
 
 let experiments =
@@ -1053,9 +647,6 @@ let experiments =
     ("ablation_intersect", ablation_intersect);
     ("ablation_selectivity", ablation_selectivity);
     ("trace", trace);
-    ("parallel", parallel);
-    ("plan_cache", plan_cache_bench);
-    ("vectorized", vectorized_bench);
     ("micro", micro);
   ]
 

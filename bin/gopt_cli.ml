@@ -12,6 +12,22 @@ open Cmdliner
 
 module Diag = Gopt_check.Diagnostic
 
+let to_gir session lang src =
+  match lang with
+  | `Gremlin -> Gopt.gremlin_to_gir session src
+  | `Cypher -> Gopt.cypher_to_gir session src
+
+(* A query the frontend rejects (parse, lexer or lowering error) is one
+   ["error: path: message"] line, as --lint reports it, and exit code 1. *)
+let front_door f =
+  try f ()
+  with e -> (
+    match Gopt.front_door_error e with
+    | Some d ->
+      prerr_endline (Gopt.render_diagnostics [ d ]);
+      1
+    | None -> raise e)
+
 (* Static analysis of one query: frontend checks (parse/lower/Plan_check),
    then — when the frontend is clean — the full checked planning pipeline
    (every rule firing verified, every stage re-checked). *)
@@ -25,13 +41,9 @@ let lint_query session config lang src =
     if not (Diag.is_clean front) then []
     else begin
       let config = { config with Gopt_opt.Planner.check_plans = true } in
-      let gir =
-        match lang with
-        | `Gremlin -> Gopt.gremlin_to_gir session src
-        | `Cypher -> Gopt.cypher_to_gir session src
-      in
       match
-        Gopt_opt.Planner.plan config (Gopt.Session.estimator session) gir
+        Gopt_opt.Planner.plan config (Gopt.Session.estimator session)
+          (to_gir session lang src)
       with
       | _, report ->
         List.concat_map
@@ -175,8 +187,9 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
       | None, Some q -> q
       | None, None -> failwith "provide a query or --workload NAME (or --stats)"
     in
+    front_door @@ fun () ->
     if explain then begin
-      print_endline (Gopt.explain_cypher ~config session query);
+      print_endline (Gopt.explain_logical ~config session (to_gir session lang query));
       0
     end
     else begin
@@ -276,7 +289,7 @@ let workload =
 let repeat =
   Arg.(
     value & opt int 1
-    & info [ "repeat" ]
+    & info [ "repeat" ] ~docv:"N"
         ~doc:
           "execute the query $(docv) times through the session plan cache and report \
            cold vs amortized (warm) per-run time")

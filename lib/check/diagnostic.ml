@@ -10,7 +10,6 @@ let error ~path message = { severity = Error; path; message }
 let warning ~path message = { severity = Warning; path; message }
 
 let errorf ~path fmt = Printf.ksprintf (error ~path) fmt
-let warningf ~path fmt = Printf.ksprintf (warning ~path) fmt
 
 let is_error d = d.severity = Error
 

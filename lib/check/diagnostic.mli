@@ -18,7 +18,6 @@ val error : path:string -> string -> t
 val warning : path:string -> string -> t
 
 val errorf : path:string -> ('a, unit, string, t) format4 -> 'a
-val warningf : path:string -> ('a, unit, string, t) format4 -> 'a
 
 val is_error : t -> bool
 

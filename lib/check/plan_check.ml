@@ -432,4 +432,3 @@ let check ?schema ?(partial = false) plan = fst (run ?schema ~partial plan)
 
 let first_error ds = List.find_opt D.is_error ds
 
-let env_of ?schema plan = (snd (run ?schema ~partial:true plan)).fields

@@ -49,9 +49,3 @@ val check :
 
 val first_error : Diagnostic.t list -> Diagnostic.t option
 
-val env_of :
-  ?schema:Gopt_graph.Schema.t ->
-  Gopt_gir.Logical.t ->
-  (string * Expr_type.ty) list
-(** The typed output fields the checker derives for a plan (exposed for the
-    physical-plan checker and tests). *)

@@ -61,13 +61,13 @@ let profile_for (config : Planner.config) =
     Engine.graphscope_profile
   else Engine.neo4j_profile
 
-let run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers
+let run_logical ?config ?profile ?budget ?chunk_size ?workers
     (s : Session.t) logical =
   let config = match config with Some c -> c | None -> Planner.default_config () in
   let profile = match profile with Some p -> p | None -> profile_for config in
   let physical, report = Planner.plan config s.Session.gq logical in
   let result, exec_stats =
-    Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers s.Session.graph
+    Engine.run ~profile ?budget ?chunk_size ?workers s.Session.graph
       physical
   in
   { result; exec_stats; report; physical }
@@ -136,22 +136,21 @@ let plan_ast_cached ?config (s : Session.t) ast =
   in
   (config, physical, report)
 
-let run_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s src =
-  let ast = Gopt_lang.Cypher_parser.parse ?params ~defer_params:true src in
+let run_cypher ?params ?config ?profile ?budget ?chunk_size ?workers s src =
+  (* without bindings nothing can bind a placeholder later: an unbound $x
+     fails at parse time, as on the uncached path *)
+  let ast =
+    Gopt_lang.Cypher_parser.parse ?params ~defer_params:(Option.is_some params) src
+  in
   let config, physical, report = plan_ast_cached ?config s ast in
   let profile = match profile with Some p -> p | None -> profile_for config in
   let result, exec_stats =
-    (* always run the binding pass: a deferred [$x] with no binding must
-       fail with the descriptive undefined-parameter diagnostic, matching
-       the parse-time substitution of the uncached path *)
-    Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers
-      ~params:(Option.value params ~default:[])
-      s.Session.graph physical
+    Engine.run ~profile ?budget ?chunk_size ?workers ?params s.Session.graph physical
   in
   { result; exec_stats; report; physical }
 
-let run_gremlin ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s src =
-  run_logical ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s
+let run_gremlin ?config ?profile ?budget ?chunk_size ?workers s src =
+  run_logical ?config ?profile ?budget ?chunk_size ?workers s
     (gremlin_to_gir s src)
 
 let plan_cypher ?params ?config ?(use_cache = false) s src =
@@ -213,7 +212,7 @@ module Prepared = struct
   let params t = t.param_names
   let source t = t.source
 
-  let execute ?params ?profile ?budget ?chunk_size ?morsel_size ?workers t =
+  let execute ?params ?profile ?budget ?chunk_size ?workers t =
     let s = t.session in
     let physical, report = plan_cached s t.config ~config_sig:t.config_sig t.ast in
     let supplied = Option.value params ~default:[] in
@@ -225,7 +224,7 @@ module Prepared = struct
     in
     let profile = match profile with Some p -> p | None -> profile_for t.config in
     let result, exec_stats =
-      Engine.run ~profile ?budget ?chunk_size ?morsel_size ?workers ~params:bindings
+      Engine.run ~profile ?budget ?chunk_size ?workers ~params:bindings
         s.Session.graph physical
     in
     { result; exec_stats; report; physical }
@@ -255,17 +254,19 @@ module Plan_check = Gopt_check.Plan_check
 let check_gir (s : Session.t) gir =
   Plan_check.check ~schema:(Session.schema s) gir
 
+let front_door_error = function
+  | Gopt_lang.Cypher_parser.Parse_error m | Gopt_lang.Gremlin_parser.Parse_error m ->
+    Some (Diagnostic.error ~path:"parse" m)
+  | Gopt_lang.Lexer.Lex_error (m, pos) ->
+    Some (Diagnostic.errorf ~path:"parse" "%s (at offset %d)" m pos)
+  | Gopt_lang.Lowering.Lowering_error m -> Some (Diagnostic.error ~path:"lower" m)
+  | _ -> None
+
 let check_of_thunk to_gir s =
   match to_gir () with
   | gir -> check_gir s gir
-  | exception Gopt_lang.Cypher_parser.Parse_error m ->
-    [ Diagnostic.error ~path:"parse" m ]
-  | exception Gopt_lang.Gremlin_parser.Parse_error m ->
-    [ Diagnostic.error ~path:"parse" m ]
-  | exception Gopt_lang.Lexer.Lex_error (m, pos) ->
-    [ Diagnostic.errorf ~path:"parse" "%s (at offset %d)" m pos ]
-  | exception Gopt_lang.Lowering.Lowering_error m ->
-    [ Diagnostic.error ~path:"lower" m ]
+  | exception e -> (
+    match front_door_error e with Some d -> [ d ] | None -> raise e)
 
 let check_cypher ?params s src = check_of_thunk (fun () -> cypher_to_gir ?params s src) s
 
@@ -278,10 +279,10 @@ let render_trace (o : outcome) =
   | Some tr -> Gopt_exec.Op_trace.to_string tr
   | None -> "(no per-operator trace recorded)"
 
-let explain_analyze_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_size
+let explain_analyze_cypher ?params ?config ?profile ?budget ?chunk_size
     ?workers s src =
   let o =
-    run_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_size ?workers s src
+    run_cypher ?params ?config ?profile ?budget ?chunk_size ?workers s src
   in
   let txt =
     Format.asprintf "@[<v>== physical ==@,%a@,== execution ==@,%s@,%d rows, %d edges touched, peak %d live rows@]"
@@ -300,8 +301,9 @@ let explain_analyze_cypher ?params ?config ?profile ?budget ?chunk_size ?morsel_
   in
   (o, txt)
 
-let explain_cypher ?params ?config s src =
-  let physical, report = plan_cypher ?params ?config s src in
+let explain_logical ?config s logical =
+  let config = match config with Some c -> c | None -> Planner.default_config () in
+  let physical, report = Planner.plan config s.Session.gq logical in
   let schema = Session.schema s in
   Format.asprintf
     "@[<v>== logical (input) ==@,%a@,== logical (optimized) ==@,%a@,== rules applied ==@,%s@,== physical ==@,%a@]"
@@ -313,3 +315,6 @@ let explain_cypher ?params ?config s src =
     | [] -> "(none)"
     | rules -> String.concat ", " rules)
     (Physical.pp ~schema) physical
+
+let explain_cypher ?params ?config s src =
+  explain_logical ?config s (cypher_to_gir ?params s src)

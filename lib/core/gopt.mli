@@ -63,7 +63,6 @@ val run_cypher :
   ?profile:Gopt_exec.Engine.profile ->
   ?budget:float ->
   ?chunk_size:int ->
-  ?morsel_size:int ->
   ?workers:int ->
   Session.t ->
   string ->
@@ -71,17 +70,19 @@ val run_cypher :
 (** Parse, optimize and execute a Cypher query. [config] defaults to the
     full GOpt pipeline on the GraphScope spec; [profile] defaults to the
     matching engine profile; [budget] (CPU seconds) bounds execution;
-    [chunk_size] sets the engine's pipelined batch granularity (at least
-    1, else [Invalid_argument]). [workers]
-    (default 1) is the number of OCaml domains the engine runs on, with
-    [morsel_size] rows per work unit; rows and their order are the same for
-    every worker count (see {!Gopt_exec.Engine.run}).
+    [chunk_size] sets the engine's pipelined batch granularity, which is
+    also the rows per work unit (at least 1, else [Invalid_argument]).
+    [workers] (default 1) is the number of OCaml domains the engine runs
+    on; rows and their order are the same for every worker count (see
+    {!Gopt_exec.Engine.run}).
 
     The optimized plan is consulted from and stored into the session plan
     cache keyed by {!Gopt_cache.Fingerprint}: repeated templates skip
-    RBO/inference/CBO entirely, and scalar [$name] parameters stay symbolic
-    in the cached plan (bound per execution), so runs differing only in
-    scalar parameter values share one plan. [report.plan_cache] records
+    RBO/inference/CBO entirely, and when [params] is given, scalar [$name]
+    parameters stay symbolic in the cached plan (bound per execution), so
+    runs differing only in scalar parameter values share one plan. Without
+    [params] the text is a literal query, and a [$name] in it raises
+    {!Gopt_lang.Cypher_parser.Parse_error}. [report.plan_cache] records
     whether this run hit. The stateless parse-substitute-optimize-execute
     path is {!run_logical} over {!cypher_to_gir}. *)
 
@@ -90,7 +91,6 @@ val run_logical :
   ?profile:Gopt_exec.Engine.profile ->
   ?budget:float ->
   ?chunk_size:int ->
-  ?morsel_size:int ->
   ?workers:int ->
   Session.t ->
   Gopt_gir.Logical.t ->
@@ -102,7 +102,6 @@ val run_gremlin :
   ?profile:Gopt_exec.Engine.profile ->
   ?budget:float ->
   ?chunk_size:int ->
-  ?morsel_size:int ->
   ?workers:int ->
   Session.t ->
   string ->
@@ -141,8 +140,7 @@ module Prepared : sig
     ?profile:Gopt_exec.Engine.profile ->
     ?budget:float ->
     ?chunk_size:int ->
-    ?morsel_size:int ->
-    ?workers:int ->
+      ?workers:int ->
     t ->
     outcome
   (** Execute with the given bindings (each scalar placeholder binds exactly
@@ -175,6 +173,11 @@ val explain_cypher :
 (** Human-readable report: input logical plan, optimized logical plan,
     applied rules, and the physical plan. *)
 
+val explain_logical :
+  ?config:Gopt_opt.Planner.config -> Session.t -> Gopt_gir.Logical.t -> string
+(** {!explain_cypher}'s report for a logical plan from any frontend (e.g.
+    {!gremlin_to_gir}), bypassing the plan cache. *)
+
 val render_trace : outcome -> string
 (** EXPLAIN ANALYZE-style rendering of the outcome's per-operator trace:
     rows in/out and self time per operator, plus — on operators that ran a
@@ -186,7 +189,6 @@ val explain_analyze_cypher :
   ?profile:Gopt_exec.Engine.profile ->
   ?budget:float ->
   ?chunk_size:int ->
-  ?morsel_size:int ->
   ?workers:int ->
   Session.t ->
   string ->
@@ -220,6 +222,12 @@ val check_cypher :
     path. An empty list means the query is clean. *)
 
 val check_gremlin : Session.t -> string -> Gopt_check.Diagnostic.t list
+
+val front_door_error : exn -> Gopt_check.Diagnostic.t option
+(** The diagnostic {!check_cypher} and {!check_gremlin} report for a
+    frontend exception: a Cypher or Gremlin [Parse_error] or a
+    [Lexer.Lex_error] at path ["parse"], a [Lowering.Lowering_error] at
+    path ["lower"]. [None] for any other exception. *)
 
 val check_gir : Session.t -> Gopt_gir.Logical.t -> Gopt_check.Diagnostic.t list
 (** {!Gopt_check.Plan_check.check} against the session schema. *)

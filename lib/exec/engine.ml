@@ -7,11 +7,7 @@
    re-exported here so existing callers keep matching on [Engine.Timeout] and
    reading [stats] fields unchanged. *)
 
-type profile = Op_trace.profile = {
-  prof_name : string;
-  count_comm : bool;
-  parallel : bool;
-}
+type profile = Op_trace.profile = { count_comm : bool }
 
 let neo4j_profile = Op_trace.neo4j_profile
 let graphscope_profile = Op_trace.graphscope_profile
@@ -45,8 +41,8 @@ let resolve_params ?params plan =
      diagnostic, not the Eval safety net *)
   | Some bindings -> Gopt_opt.Physical.bind_params bindings plan
 
-let run ?profile ?budget ?chunk_size ?morsel_size ?(workers = 1) ?params g plan =
-  Parallel.run ?profile ?budget ?chunk_size ?morsel_size ~workers g
+let run ?profile ?budget ?chunk_size ?(workers = 1) ?params g plan =
+  Parallel.run ?profile ?budget ?chunk_size ~workers g
     (resolve_params ?params plan)
 
 let run_materialized ?profile ?budget ?params g plan =

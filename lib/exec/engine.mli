@@ -25,13 +25,9 @@
     (paper Remark 3.1). *)
 
 type profile = Op_trace.profile = {
-  prof_name : string;
   count_comm : bool;
-      (** Count produced intermediate rows as simulated communication. *)
-  parallel : bool;
-      (** The backend is a parallel dataflow: rows crossing a worker-merge
-          exchange in the morsel-driven engine are charged to the
-          communication counters. *)
+      (** Count produced intermediate rows, and rows crossing a worker-merge
+          exchange, as simulated communication. *)
 }
 
 val neo4j_profile : profile
@@ -68,15 +64,15 @@ val run :
   ?profile:profile ->
   ?budget:float ->
   ?chunk_size:int ->
-  ?morsel_size:int ->
   ?workers:int ->
   ?params:(string * Gopt_graph.Value.t list) list ->
   Gopt_graph.Property_graph.t ->
   Gopt_opt.Physical.t ->
   Batch.t * stats
 (** Execute a plan. [profile] defaults to {!graphscope_profile};
-    [chunk_size] is the pipelined batch granularity (default 1024, at
-    least 1: a smaller value raises [Invalid_argument] naming it).
+    [chunk_size] is the pipelined batch granularity and the morsel size
+    (default 1024, at least 1: a smaller value raises [Invalid_argument]
+    naming it).
 
     Scan and filter predicates always run as column-at-a-time kernels
     (falling back to the row interpreter for shapes without one), and
@@ -88,16 +84,16 @@ val run :
     set when a placeholder is left unbound.
 
     [workers] (default 1, at least 1) is the number of OCaml domains. Scans
-    and materialized intermediates are split into morsels of [morsel_size]
-    rows (default 1024). With one worker the morsels run in order on the
-    calling domain and feed each pipeline breaker directly: no exchange,
-    and a trace with the plan's shape. With more, the domains claim
+    and materialized intermediates are split into morsels of one chunk
+    each. With one worker the morsels run in order on the calling domain
+    and feed each pipeline breaker directly: no exchange, and a trace with
+    the plan's shape. With more, the domains claim
     morsels, each morsel builds its own partial breaker state, and the
     partials merge in morsel order; the trace gains one exchange node per
     stage.
 
     Output order is part of the result: the same plan yields the same rows
-    in the same order for every [workers], [chunk_size] and [morsel_size].
+    in the same order for every [workers] and [chunk_size].
     GROUP BY emits groups in the order their key first appears, ORDER BY is
     stable, and DISTINCT keeps the first row of each key. The one exception
     is the rounding of SUM/AVG over non-integral floats, which several

@@ -12,10 +12,10 @@ let make name children =
   { name; rows_in = 0; rows_out = 0; rows_selected = 0; kernel_ns = 0.0;
     time_s = 0.0; children }
 
-type profile = { prof_name : string; count_comm : bool; parallel : bool }
+type profile = { count_comm : bool }
 
-let neo4j_profile = { prof_name = "neo4j"; count_comm = false; parallel = false }
-let graphscope_profile = { prof_name = "graphscope"; count_comm = true; parallel = true }
+let neo4j_profile = { count_comm = false }
+let graphscope_profile = { count_comm = true }
 
 type stats = {
   mutable operators : int;
@@ -126,9 +126,6 @@ let pp ppf tr =
   Format.fprintf ppf "@]"
 
 let to_string tr = Format.asprintf "%a" pp tr
-
-let rec total_time tr =
-  tr.time_s +. List.fold_left (fun acc c -> acc +. total_time c) 0.0 tr.children
 
 (* --- per-worker trace copies ----------------------------------------------- *)
 

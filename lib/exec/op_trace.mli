@@ -23,16 +23,13 @@ type t = {
 val make : string -> t list -> t
 
 type profile = {
-  prof_name : string;
   count_comm : bool;
-      (** Count produced intermediate rows as simulated communication. *)
-  parallel : bool;
-      (** The backend executes plans as a parallel dataflow: rows crossing a
-          worker-merge exchange are charged to the communication counters
-          (the paper's communication-cost definition applied to the
-          morsel-driven engine). Single-machine profiles leave exchange
-          crossings out of [comm_rows] (they are still tracked in
-          [exchange_rows]). *)
+      (** The backend is a distributed dataflow: produced intermediate rows,
+          and rows crossing a worker-merge exchange of the morsel-driven
+          engine, are charged to the communication counters (the paper's
+          communication-cost definition). Single-machine profiles leave both
+          out of [comm_rows]; exchange crossings are still tracked in
+          [exchange_rows]. *)
 }
 
 val neo4j_profile : profile
@@ -87,9 +84,6 @@ val pp : Format.formatter -> t -> unit
 (** EXPLAIN ANALYZE-style tree rendering. *)
 
 val to_string : t -> string
-
-val total_time : t -> float
-(** Sum of self times over the whole tree. *)
 
 val absorb : t -> t -> unit
 (** [absorb dst src] adds [src]'s own rows, kernel counters and self time

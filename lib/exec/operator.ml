@@ -5,9 +5,9 @@
    breaker's output, or a WithCommon common result re-emitted through a
    CommonRef). [compile] wires the chain into push operators with
    consume/close callbacks that end in a consumer sink; the returned feed
-   function pushes one source through in chunks of [chunk_size] rows of the
-   Batch representation and flushes every operator's buffer into the
-   consumer. Which sources a stage has, what consumes a fragment's output
+   function pushes one source — at most [chunk_size] rows, one chunk of the
+   Batch representation — through and flushes every operator's buffer into
+   the consumer. Which sources a stage has, what consumes a fragment's output
    and how pipeline breakers merge is [Parallel]'s business; this module
    only moves rows and accounts for them. A compiled fragment keeps its
    per-operator state (compiled kernels, ExpandIntersect's adjacency cache)
@@ -567,14 +567,7 @@ let compile ctx frag consumer =
   let feed src =
     let push () =
       let b = source_rows src in
-      let n = Batch.n_rows b in
-      (try
-         let at = ref 0 in
-         while !at < n && sink.k_alive () do
-           let len = min chunk_size (n - !at) in
-           sink.k_consume (if len = n then b else Batch.sub b ~pos:!at ~len);
-           at := !at + len
-         done
+      (try if Batch.n_rows b > 0 && sink.k_alive () then sink.k_consume b
        with Stop -> ());
       sink.k_close ()
     in

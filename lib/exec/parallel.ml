@@ -7,11 +7,12 @@
    (Group table, sorted run, Dedup seen-set, join build table) or a
    collector of rows (the final result, a WithCommon common result, the
    input of Limit and Skip). A region's input is partitioned into
-   fixed-size {e morsels} — vertex ranges for scans, row ranges for
-   materialized intermediates — and every morsel is pushed through its
-   fragment straight into the consumer, chunk by chunk. Joins stream: the
-   build side runs once as its own stage into one [Breaker.Join] table,
-   which every probe-side morsel then probes read-only. Breakers come from
+   {e morsels} of [chunk_size] rows — vertex ranges for scans, row ranges
+   for materialized intermediates — so a morsel is one chunk, and every
+   morsel is pushed through its fragment straight into the consumer.
+   Joins stream: the build side runs once as its own stage into one
+   [Breaker.Join] table, which every probe-side morsel then probes
+   read-only. Breakers come from
    [Breaker]; their output stays a list of per-morsel batches that is
    sliced into the next stage's morsels, and only the final result is
    concatenated.
@@ -28,7 +29,7 @@
    [exchange[...]] node with one leaf per worker.
 
    Determinism: morsel partitioning depends only on the plan, the graph and
-   [morsel_size], per-morsel work is sequential, and merge points fold
+   [chunk_size], per-morsel work is sequential, and merge points fold
    partials in morsel order, so for every [workers] value the result has
    the same rows in the same order as one worker feeding each breaker in
    morsel order. Only SUM/AVG over non-integral floats may round
@@ -38,7 +39,7 @@
 
    Accounting: with several workers, rows handed from a morsel to its merge
    point count as {e exchange} rows ([stats.exchange_rows]); profiles with
-   [parallel = true] also charge them to the communication counters,
+   [count_comm = true] also charge them to the communication counters,
    applying the paper's communication-cost definition to this engine.
    [peak_rows] counts breaker state, materialized stage outputs and the
    result; with several workers, partial states count once they reach the
@@ -49,8 +50,6 @@ module Schema = Gopt_graph.Schema
 module Tc = Gopt_pattern.Type_constraint
 module Logical = Gopt_gir.Logical
 module Physical = Gopt_opt.Physical
-
-let default_morsel_size = 1024
 
 (* A streaming region: its branches (fragments with the sources of their
    morsels, in morsel order) and the trace node of its top operator. *)
@@ -83,10 +82,8 @@ let rec drop n = function
     else Batch.sub b ~pos:n ~len:(r - n) :: rest
 
 let run ?(profile = Op_trace.graphscope_profile) ?budget
-    ?(chunk_size = Operator.default_chunk_size)
-    ?(morsel_size = default_morsel_size) ~workers g plan =
+    ?(chunk_size = Operator.default_chunk_size) ~workers g plan =
   if workers < 1 then invalid_arg "Parallel.run: workers must be >= 1";
-  if morsel_size < 1 then invalid_arg "Parallel.run: morsel_size must be >= 1";
   if chunk_size < 1 then
     invalid_arg (Printf.sprintf "Engine.run: chunk_size must be >= 1 (got %d)" chunk_size);
   let schema = G.schema g in
@@ -278,7 +275,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
         Op_trace.live_add st xrows;
         st.exchange_rows <- st.exchange_rows + xrows;
         st.exchange_cells <- st.exchange_cells + (xrows * width);
-        if profile.Op_trace.parallel then begin
+        if profile.Op_trace.count_comm then begin
           st.comm_rows <- st.comm_rows + xrows;
           st.comm_cells <- st.comm_cells + (xrows * width)
         end;
@@ -341,18 +338,18 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
     | [] -> ());
     (parts, tr)
   in
-  (* [f pos len] over the morsel-sized ranges of [0, n) *)
+  (* [f pos len] over the chunk-sized ranges of [0, n) *)
   let ranges n f =
-    List.init ((n + morsel_size - 1) / morsel_size) (fun k ->
-        let pos = k * morsel_size in
-        f pos (min morsel_size (n - pos)))
+    List.init ((n + chunk_size - 1) / chunk_size) (fun k ->
+        let pos = k * chunk_size in
+        f pos (min chunk_size (n - pos)))
   in
   let slices parts =
     List.concat_map
       (fun b ->
         let nr = Batch.n_rows b in
         if nr = 0 then []
-        else if nr <= morsel_size then [ Operator.Rows b ]
+        else if nr <= chunk_size then [ Operator.Rows b ]
         else ranges nr (fun pos len -> Operator.Rows (Batch.sub b ~pos ~len)))
       parts
   in

@@ -177,4 +177,3 @@ let selectivity t ~elem ~type_ids ~prop pred =
       Some (List.fold_left (fun acc (p, s) -> acc +. (p *. s)) 0.0 weighted /. total_pop)
   end
 
-let n_columns t = Hashtbl.length t.columns

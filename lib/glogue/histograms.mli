@@ -35,6 +35,3 @@ val selectivity :
     the comparison on [prop]; [None] when no statistics were collected for
     the column (e.g. an unknown property). Multiple types are combined by
     population-weighted averaging. *)
-
-val n_columns : t -> int
-(** Number of (type, property) columns with statistics. *)

@@ -29,7 +29,6 @@ let esrc t e = t.esrc.(e)
 let edst t e = t.edst.(e)
 
 let out_degree t v = t.out_off.(v + 1) - t.out_off.(v)
-let in_degree t v = t.in_off.(v + 1) - t.in_off.(v)
 
 (* First index in [lo,hi) whose etype is >= et (adjacency sorted by etype). *)
 let lower_bound_et ets lo hi et =

@@ -62,7 +62,6 @@ val edst : t -> int -> int
 (** {1 Adjacency} *)
 
 val out_degree : t -> int -> int
-val in_degree : t -> int -> int
 val out_degree_etype : t -> int -> int -> int
 val in_degree_etype : t -> int -> int -> int
 

@@ -11,7 +11,6 @@ type t = {
   triple_set : (int * int * int, unit) Hashtbl.t;
   out_adj : (int * int) list array; (* vtype -> (etype, dst vtype) *)
   in_adj : (int * int) list array; (* vtype -> (etype, src vtype) *)
-  etype_ends : (int * int) list array; (* etype -> (src vtype, dst vtype) *)
 }
 
 let index_names kind names =
@@ -41,17 +40,15 @@ let create ~vtypes ~etypes ~triples =
            (lookup vtype_ids "vertex" s, lookup etype_ids "edge" e, lookup vtype_ids "vertex" d))
          triples)
   in
-  let nv = Array.length vtype_names and ne = Array.length etype_names in
+  let nv = Array.length vtype_names in
   let out_adj = Array.make nv [] and in_adj = Array.make nv [] in
-  let etype_ends = Array.make ne [] in
   let triple_set = Hashtbl.create (Array.length triples * 2) in
   Array.iter
     (fun (s, e, d) ->
       if not (Hashtbl.mem triple_set (s, e, d)) then begin
         Hashtbl.add triple_set (s, e, d) ();
         out_adj.(s) <- (e, d) :: out_adj.(s);
-        in_adj.(d) <- (e, s) :: in_adj.(d);
-        etype_ends.(e) <- (s, d) :: etype_ends.(e)
+        in_adj.(d) <- (e, s) :: in_adj.(d)
       end)
     triples;
   {
@@ -65,7 +62,6 @@ let create ~vtypes ~etypes ~triples =
     triple_set;
     out_adj;
     in_adj;
-    etype_ends;
   }
 
 let n_vtypes t = Array.length t.vtype_names
@@ -86,7 +82,6 @@ let triples t = t.triples
 let triple_allowed t ~src ~etype ~dst = Hashtbl.mem t.triple_set (src, etype, dst)
 let out_schema t vt = t.out_adj.(vt)
 let in_schema t vt = t.in_adj.(vt)
-let etype_endpoints t et = t.etype_ends.(et)
 let vprops t vt = t.vprop_decls.(vt)
 let eprops t et = t.eprop_decls.(et)
 

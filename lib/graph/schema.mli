@@ -52,10 +52,6 @@ val out_schema : t -> int -> (int * int) list
 val in_schema : t -> int -> (int * int) list
 (** Mirror of {!out_schema} for incoming edges: [(etype, src_vtype)]. *)
 
-val etype_endpoints : t -> int -> (int * int) list
-(** [etype_endpoints t et] lists the [(src_vtype, dst_vtype)] pairs allowed
-    for edge type [et]. *)
-
 val vprops : t -> int -> (string * prop_kind) list
 (** Declared properties of a vertex type. *)
 

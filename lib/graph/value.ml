@@ -47,13 +47,6 @@ let pp ppf = function
 
 let to_string v = Format.asprintf "%a" pp v
 
-let as_bool = function Bool b -> Some b | Null | Int _ | Float _ | Str _ -> None
-
-let as_int = function
-  | Int n -> Some n
-  | Float f when Float.is_integer f -> Some (int_of_float f)
-  | Null | Bool _ | Float _ | Str _ -> None
-
 let as_float = function
   | Int n -> Some (float_of_int n)
   | Float f -> Some f

@@ -28,12 +28,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val as_bool : t -> bool option
-(** [as_bool v] is [Some b] for [Bool b], [None] otherwise. *)
-
-val as_int : t -> int option
-(** Numeric coercion: succeeds on [Int] and on integral [Float]. *)
-
 val as_float : t -> float option
 (** Numeric coercion: succeeds on [Int] and [Float]. *)
 

@@ -52,8 +52,6 @@ let compare a b =
   | All, All -> 0
   | _ -> Int.compare (tag a) (tag b)
 
-let is_all = function All -> true | Basic _ | Union _ -> false
-
 let pp ~names ppf = function
   | Basic t -> Format.pp_print_string ppf (names t)
   | Union ts ->

@@ -35,8 +35,6 @@ val cardinality : universe:int -> t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val is_all : t -> bool
-
 val pp : names:(int -> string) -> Format.formatter -> t -> unit
 (** Pretty-print with type names resolved via [names], e.g.
     [Person], [Post|Comment], [*]. *)

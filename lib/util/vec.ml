@@ -2,10 +2,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-(* The capacity hint is advisory: we cannot pre-allocate without a witness
-   value, so reservation happens lazily on the first push. *)
-let with_capacity (_ : int) = create ()
-
 let length t = t.len
 
 let is_empty t = t.len = 0

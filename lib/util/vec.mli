@@ -9,9 +9,6 @@ type 'a t
 val create : unit -> 'a t
 (** Fresh empty vector. *)
 
-val with_capacity : int -> 'a t
-(** Fresh empty vector with pre-reserved capacity. *)
-
 val length : 'a t -> int
 (** Number of elements currently stored. *)
 

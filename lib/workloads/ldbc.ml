@@ -93,8 +93,6 @@ let last_names = [| "Smith"; "Li"; "Garcia"; "Khan"; "Ivanova"; "Wang"; "Muller"
 let browsers = [| "Firefox"; "Chrome"; "Safari"; "InternetExplorer" |]
 let languages = [| "en"; "zh"; "es"; "de"; "ru" |]
 
-let default_persons = 1500
-
 let scale_ladder = [ ("S1", 200); ("S2", 600); ("S3", 2000); ("S4", 6000) ]
 
 let generate ?(seed = 42) ~persons () =

@@ -20,5 +20,3 @@ val scale_ladder : (string * int) list
 (** The four scale factors of the data-scale experiments (paper Fig. 10),
     standing in for G30, G100, G300, G1000. *)
 
-val default_persons : int
-(** The mid-size scale used by the micro and comprehensive experiments. *)

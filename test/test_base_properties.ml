@@ -347,9 +347,7 @@ let prop_chunk_size_fuzz =
       let k = Prng.int rng 10 in
       let plan = Physical.Limit (Physical.Union (scan, scan), k) in
       let b, _ = Engine.run ~chunk_size:cs graph plan in
-      let bp, _ =
-        Engine.run ~chunk_size:cs ~workers:2 ~morsel_size:(1 + Prng.int rng 3) graph plan
-      in
+      let bp, _ = Engine.run ~chunk_size:cs ~workers:2 graph plan in
       Batch.n_rows b = min k 8 && Batch.n_rows bp = min k 8)
 
 (* --- containers and RNG ------------------------------------------------------ *)

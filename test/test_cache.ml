@@ -330,8 +330,8 @@ let test_workload_cached_vs_cold () =
         (q.Queries.name ^ ": warm stable")
         (render g warm1.Gopt.result) (render g warm2.Gopt.result);
       (* the cached plan is worker-count invisible *)
-      let b1, _ = Engine.run ~workers:1 ~morsel_size:32 g warm2.Gopt.physical in
-      let b4, _ = Engine.run ~workers:4 ~morsel_size:32 g warm2.Gopt.physical in
+      let b1, _ = Engine.run ~workers:1 ~chunk_size:32 g warm2.Gopt.physical in
+      let b4, _ = Engine.run ~workers:4 ~chunk_size:32 g warm2.Gopt.physical in
       Alcotest.(check string)
         (q.Queries.name ^ ": cached plan, workers 1 = 4")
         (render g b1) (render g b4))

@@ -258,6 +258,43 @@ let test_workloads_clean () =
         report.Planner.diagnostics)
     (Queries.comprehensive @ Queries.qr @ Queries.qt @ Queries.qc)
 
+(* --- front-door errors ------------------------------------------------------ *)
+
+(* each way the frontend rejects a query is one error diagnostic, the same
+   one check_cypher reports, whether it is raised on the cached run path or
+   by the Gremlin parser; any other exception is not a front-door error *)
+let test_front_door_error () =
+  let diag_of name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected an exception" name
+    | exception e -> (
+      match Gopt.front_door_error e with
+      | Some d -> d
+      | None -> Alcotest.failf "%s: %s is not a front-door error" name (Printexc.to_string e))
+  in
+  List.iter
+    (fun (src, path, sub) ->
+      let d = diag_of src (fun () -> Gopt.run_cypher session src) in
+      Alcotest.(check string) (src ^ ": path") path d.Diag.path;
+      expect_error src sub [ d ];
+      Alcotest.(check string)
+        (src ^ ": as check_cypher reports it")
+        (Diag.render (Gopt.check_cypher session src))
+        (Diag.render [ d ]))
+    [
+      ("MATCH (a:Person) RETURN a LIMIT -1", "parse", "LIMIT");
+      ("MATCH (a:Person) WHERE a.firstName = 'abc RETURN a", "parse", "unterminated string");
+      ("MATCH (a:Nope) RETURN a", "lower", "Nope");
+      ("MATCH (a:Person) WHERE a.id = $x RETURN a", "parse", "$x");
+    ];
+  let d = diag_of "gremlin" (fun () -> Gopt.gremlin_to_gir session "g.V(.count()") in
+  Alcotest.(check string) "gremlin: path" "parse" d.Diag.path;
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) (Printexc.to_string e ^ " is not") true
+        (Gopt.front_door_error e = None))
+    [ Invalid_argument "x"; Not_found; Failure "x" ]
+
 (* --- an unsound rule is caught and blamed ---------------------------------- *)
 
 let bad_rule =
@@ -366,6 +403,9 @@ let () =
           Alcotest.test_case "unsound rule blamed by name" `Quick test_bad_rule_blamed;
           Alcotest.test_case "shipped rules pass" `Quick test_sound_rules_pass;
         ] );
+      ( "front_door",
+        [ Alcotest.test_case "one diagnostic per frontend error" `Quick test_front_door_error ]
+      );
       ( "graph_io",
         [ Alcotest.test_case "failures carry line numbers" `Quick test_graph_io_line_numbers ]
       );

@@ -277,9 +277,10 @@ let test_batch_pos_error () =
           in
           contains "zz" msg && contains "a" msg && contains "b" msg))
 
-(* differential: every workload query through the pipelined engine and the
-   materialized reference path must produce the same rows, and the pipelined
-   run must never hold more rows live *)
+(* differential: every workload query and every vectorized-scan query
+   (VS1-VS6, whose predicates the oracle evaluates row by row) through the
+   pipelined engine and the materialized reference path must produce the
+   same rows, and the pipelined run must never hold more rows live *)
 
 module Queries = Gopt_workloads.Queries
 
@@ -314,7 +315,7 @@ let test_differential_workloads () =
       Alcotest.(check bool)
         (q.Queries.name ^ ": reference has no trace")
         true (s_mat.Engine.op_trace = None))
-    (Queries.comprehensive @ Queries.qr @ Queries.qt @ Queries.qc)
+    (Queries.comprehensive @ Queries.qr @ Queries.qt @ Queries.qc @ Queries.vs)
 
 (* chunk_size is behaviour-neutral: the full workload suite at pathological
    batch granularities (1 and 7) must return exactly the default's rows.

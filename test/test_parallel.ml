@@ -7,7 +7,7 @@
       [run ~workers:1] and [run ~workers:4] produce BYTE-IDENTICAL output
       (same rows, same order): every breaker has one implementation shared
       by both engines, morsel partitioning depends only on (plan, graph,
-      morsel_size), and every merge point folds partials in morsel-index
+      chunk_size), and every merge point folds partials in morsel-index
       order. Between worker counts this includes float bit patterns; the
       sequential engine matches them here because every property summed is
       an integer, so float sums are exact.
@@ -34,7 +34,7 @@ module Physical = Gopt_opt.Physical
 module Tc = Gopt_pattern.Type_constraint
 open Fixtures
 
-(* A larger instance of the Fixtures schema, sized so that morsel_size 16
+(* A larger instance of the Fixtures schema, sized so that chunk size 16
    splits every scan into several morsels (90 persons -> 6 morsels).
    Property values reuse the Fixtures naming scheme ('p0'..'p7', ...) so the
    constants produced by [Gen_query] select non-trivial subsets, and the
@@ -102,15 +102,15 @@ let canon_rows b =
   Batch.iter (fun row -> rows := Array.to_list row :: !rows) b;
   List.sort (List.compare Rval.compare) !rows
 
-(* The sequential engine and the morsel engine at 1 and 4 workers render
-   byte-identically (at the given pipelined chunk granularity); returns the
-   4-worker run. *)
-let check_same_order ?chunk_size ~morsel_size ~name ~g physical =
-  let b_seq, _ = Engine.run ?chunk_size g physical in
-  let b1, _ = Engine.run ?chunk_size ~workers:1 ~morsel_size g physical in
-  let b4, s4 = Engine.run ?chunk_size ~workers:4 ~morsel_size g physical in
+(* The one-worker engine at the default chunk size, and the morsel engine
+   at 1 and 4 workers at the given chunk size, render byte-identically;
+   returns the 4-worker run. *)
+let check_same_order ~chunk_size ~name ~g physical =
+  let b_seq, _ = Engine.run g physical in
+  let b1, _ = Engine.run ~chunk_size ~workers:1 g physical in
+  let b4, s4 = Engine.run ~chunk_size ~workers:4 g physical in
   Alcotest.(check string)
-    (name ^ ": sequential = workers 1")
+    (name ^ ": default chunk = workers 1")
     (render g b_seq) (render g b1);
   Alcotest.(check string) (name ^ ": workers 1 = workers 4") (render g b1) (render g b4);
   Alcotest.(check bool) (name ^ ": parallel trace present") true (s4.Engine.op_trace <> None);
@@ -119,8 +119,8 @@ let check_same_order ?chunk_size ~morsel_size ~name ~g physical =
 (* One differential check: sequential, workers:1 and workers:4
    byte-identical, then against the materialized oracle (bag equality, or
    cardinality when the plan cuts on possibly-tied boundaries). *)
-let check_one ?chunk_size ~name ~g physical =
-  let b4 = check_same_order ?chunk_size ~morsel_size:16 ~name ~g physical in
+let check_one ~chunk_size ~name ~g physical =
+  let b4 = check_same_order ~chunk_size ~name ~g physical in
   let b_mat, _ = Engine.run_materialized g physical in
   Alcotest.(check (list string))
     (name ^ ": fields vs oracle") (Batch.fields b_mat) (Batch.fields b4);
@@ -137,9 +137,10 @@ let n_random = 220
 
 let test_random_differential () =
   let s = Lazy.force session in
-  (* cycle the pipelined chunk granularity across seeds: every third query
-     runs at a pathological chunk size (1 or 7) instead of the default *)
-  let chunk_sizes = [| 1; 7; 1024 |] in
+  (* cycle the chunk size, which is also the morsel size, across seeds:
+     1 and 7 are pathological, and 16 still cuts every scan of [big_graph]
+     into several morsels *)
+  let chunk_sizes = [| 1; 7; 16 |] in
   for seed = 0 to n_random - 1 do
     let q = Gen_query.generate seed in
     let chunk_size = chunk_sizes.(seed mod 3) in
@@ -163,7 +164,7 @@ let join_seeds = List.init 120 (fun i -> 10_000 + i)
 
 let test_random_join_differential () =
   let s = Lazy.force session in
-  let chunk_sizes = [| 1; 7; 1024 |] in
+  let chunk_sizes = [| 1; 7; 16 |] in
   List.iter
     (fun seed ->
       let q = Gen_query.generate_joins seed in
@@ -206,8 +207,9 @@ let test_join_kinds_covered () =
     (fun (name, k) -> Alcotest.(check bool) (name ^ " join planned") true (List.mem k seen))
     Gopt_gir.Logical.[ ("left outer", Left_outer); ("semi", Semi); ("anti", Anti) ]
 
-(* the full LDBC workload suite: sequential, workers=1 and workers=4 match
-   exactly at chunk sizes 1, 7 and 1024, and the oracle up to tie cuts *)
+(* the full LDBC workload suite and the vectorized-scan queries: the
+   default-size run, workers=1 and workers=4 match exactly at chunk sizes
+   1, 7 and 32, and the oracle up to tie cuts *)
 module Queries = Gopt_workloads.Queries
 
 let test_workload_differential () =
@@ -220,7 +222,7 @@ let test_workload_differential () =
       List.iter
         (fun chunk_size ->
           let name = Printf.sprintf "%s (chunk=%d)" q.Queries.name chunk_size in
-          let b4 = check_same_order ~chunk_size ~morsel_size:32 ~name ~g physical in
+          let b4 = check_same_order ~chunk_size ~name ~g physical in
           Alcotest.(check (list string))
             (name ^ ": fields vs oracle")
             (Batch.fields b_mat) (Batch.fields b4);
@@ -233,8 +235,8 @@ let test_workload_differential () =
               (name ^ ": same bag as oracle")
               true
               (List.equal (List.equal Rval.equal) (canon_rows b_mat) (canon_rows b4)))
-        [ 1; 7; 1024 ])
-    (Queries.comprehensive @ Queries.qr @ Queries.qt @ Queries.qc)
+        [ 1; 7; 32 ])
+    (Queries.comprehensive @ Queries.qr @ Queries.qt @ Queries.qc @ Queries.vs)
 
 (* repeated runs with different worker counts are byte-identical —
    including LIMIT + ORDER BY (tie-cutting top-k) and top-level aggregation
@@ -254,13 +256,13 @@ let test_determinism () =
     (fun q ->
       let physical, _ = Gopt.plan_cypher s q in
       let reference =
-        render big_graph (fst (Engine.run ~workers:1 ~morsel_size:16 big_graph physical))
+        render big_graph (fst (Engine.run ~workers:1 ~chunk_size:16 big_graph physical))
       in
       List.iteri
         (fun i w ->
           let out =
             render big_graph
-              (fst (Engine.run ~workers:w ~morsel_size:16 big_graph physical))
+              (fst (Engine.run ~workers:w ~chunk_size:16 big_graph physical))
           in
           Alcotest.(check string) (Printf.sprintf "%s: run %d (workers=%d)" q i w)
             reference out)
@@ -275,7 +277,7 @@ let test_parallel_accounting () =
     Gopt.plan_cypher s "MATCH (p:Person)-[:KNOWS]->(q:Person) RETURN count(*) AS c"
   in
   let _, gs =
-    Engine.run ~profile:Engine.graphscope_profile ~workers:3 ~morsel_size:16 big_graph
+    Engine.run ~profile:Engine.graphscope_profile ~workers:3 ~chunk_size:16 big_graph
       physical
   in
   Alcotest.(check int) "workers_used" 3 gs.Engine.workers_used;
@@ -297,7 +299,7 @@ let test_parallel_accounting () =
     Alcotest.(check bool) "trace has exchange node" true (contains "exchange[" txt);
     Alcotest.(check bool) "trace has worker rollups" true (contains "worker " txt));
   let _, n4 =
-    Engine.run ~profile:Engine.neo4j_profile ~workers:3 ~morsel_size:16 big_graph
+    Engine.run ~profile:Engine.neo4j_profile ~workers:3 ~chunk_size:16 big_graph
       physical
   in
   Alcotest.(check bool) "neo4j profile still records exchange" true
@@ -334,7 +336,7 @@ let test_join_output_streams () =
   in
   List.iter
     (fun workers ->
-      let _, st = Engine.run ~workers ~morsel_size:16 big_graph physical in
+      let _, st = Engine.run ~workers ~chunk_size:16 big_graph physical in
       let rec joins (tr : Op_trace.t) =
         (if String.starts_with ~prefix:"HashJoin" tr.Op_trace.name then [ tr ] else [])
         @ List.concat_map joins tr.Op_trace.children
