@@ -1,7 +1,7 @@
 # Tier-1 verification gate: everything must build, every test suite must
 # pass, the PlanCheck linter must report zero errors over every workload
-# query, and the bench harness must execute one LDBC query end-to-end on the
-# pipelined engine and print its per-operator trace.
+# query, and the CLI must execute one LDBC query end-to-end on the pipelined
+# engine and print its per-operator trace.
 .PHONY: check build test lint trace
 
 build:
@@ -16,7 +16,7 @@ lint:
 	dune exec bin/gopt_cli.exe -- --lint --persons 200
 
 trace:
-	GOPT_BENCH_PERSONS=300 GOPT_BENCH_BUDGET=5 dune exec bench/main.exe -- trace
+	dune exec bin/gopt_cli.exe -- --persons 300 --workload IC6 --analyze
 
 check: build test lint trace
 	@echo "check: OK"

@@ -556,76 +556,6 @@ let ablation_selectivity () =
     ~header:[ "query"; "constant (s)"; "histograms (s)"; "speedup" ]
     rows
 
-(* --------------------------------------------------------------- micro -- *)
-
-let micro () =
-  let open Bechamel in
-  let session = H.ldbc_session 400 in
-  let schema = Gopt.Session.schema session in
-  let glogue = Gopt.Session.glogue session in
-  let qc4 = qc_pattern session "QC4a" in
-  let qt2_pattern =
-    Queries.pattern_of_cypher schema (Queries.find Queries.qt "QT2").Queries.cypher
-  in
-  let ic6 = (Queries.find Queries.ic "IC6").Queries.cypher in
-  let ic6_gir = Gopt.cypher_to_gir session ic6 in
-  let tests =
-    [
-      Test.make ~name:"type-inference(QT2)"
-        (Staged.stage (fun () -> ignore (Ti.infer schema qt2_pattern)));
-      Test.make ~name:"cardinality(QC4a, cold cache)"
-        (Staged.stage (fun () -> ignore (Gq.get_freq (Gq.create glogue) qc4)));
-      Test.make ~name:"cbo-optimize(QC4a)"
-        (Staged.stage (fun () -> ignore (Cbo.optimize (Gq.create glogue) Spec.graphscope qc4)));
-      Test.make ~name:"rbo-fixpoint(IC6)"
-        (Staged.stage (fun () ->
-             ignore
-               (Gopt_opt.Rule.fixpoint
-                  (Gopt_opt.Rules_pattern.all @ Gopt_opt.Rules_relational.all)
-                  ic6_gir)));
-      Test.make ~name:"cypher-parse(IC6)"
-        (Staged.stage (fun () -> ignore (Gopt_lang.Cypher_parser.parse ic6)));
-    ]
-  in
-  let benchmark test =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  Printf.printf "\n## Micro benchmarks (bechamel, monotonic clock)\n";
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ test ]) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-36s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
-        results)
-    tests
-
-(* --------------------------------------------------------------- trace -- *)
-
-(* Per-operator profiling smoke test: run one LDBC query on the pipelined
-   engine and print its EXPLAIN ANALYZE trace, then compare both engines'
-   peak live rows. Part of the tier-1 `make check` gate. *)
-let trace () =
-  let session = H.ldbc_session H.bench_persons in
-  let graph = Gopt.Session.graph session in
-  let q = Queries.find Queries.ic "IC6" in
-  Printf.printf "\n## Per-operator trace: %s (%s)\n%s\n\n" q.Queries.name
-    q.Queries.description q.Queries.cypher;
-  let out, report = Gopt.explain_analyze_cypher session q.Queries.cypher in
-  print_endline report;
-  let _, mat = Engine.run_materialized graph out.Gopt.physical in
-  Printf.printf
-    "\npipelined peak %d live rows vs materialized peak %d (%.1fx less memory-resident)\n"
-    out.Gopt.exec_stats.Engine.peak_rows mat.Engine.peak_rows
-    (float_of_int mat.Engine.peak_rows
-    /. float_of_int (max 1 out.Gopt.exec_stats.Engine.peak_rows))
-
 (* ---------------------------------------------------------------- main -- *)
 
 let experiments =
@@ -646,8 +576,6 @@ let experiments =
     ("ablation_typeinf", ablation_typeinf);
     ("ablation_intersect", ablation_intersect);
     ("ablation_selectivity", ablation_selectivity);
-    ("trace", trace);
-    ("micro", micro);
   ]
 
 let () =

@@ -65,7 +65,7 @@ let lint_query session config lang src =
 
 let workload_queries =
   Gopt_workloads.Queries.comprehensive @ Gopt_workloads.Queries.qr
-  @ Gopt_workloads.Queries.qt @ Gopt_workloads.Queries.qc
+  @ Gopt_workloads.Queries.qt @ Gopt_workloads.Queries.qc @ Gopt_workloads.Queries.vs
 
 (* An unknown --workload name is a usage error: name the known queries and
    exit non-zero. *)
@@ -114,6 +114,12 @@ let valid_workers workers =
     Printf.eprintf "--workers must be at least 1 (got %d)\n" workers;
   workers >= 1
 
+(* So is a run with nothing to execute. *)
+let has_work ~stats_only ~lint workload query =
+  let has = stats_only || lint || workload <> None || query <> None in
+  if not has then prerr_endline "provide a QUERY or --workload NAME (or --stats, --lint)";
+  has
+
 (* So is a chunk size below 1. *)
 let valid_chunk_size = function
   | Some n when n < 1 ->
@@ -145,19 +151,30 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
       choice "--planner" planners planner,
       choice "--backend" backends backend )
   in
-  let valid = known_workload workload && valid_workers workers && valid_chunk_size chunk_size in
+  let valid =
+    known_workload workload && valid_workers workers && valid_chunk_size chunk_size
+    && has_work ~stats_only ~lint workload query
+  in
   match choices with
   | None, _, _, _ | _, None, _, _ | _, _, None, _ | _, _, _, None -> 2
   | _ when not valid -> 2
   | Some dataset, Some lang, Some planner, Some spec ->
+  (* a graph file that cannot be read is one ["error: load: ..."] line and
+     exit code 1, like a query the frontend rejects *)
   let graph =
     match load with
-    | Some path -> Gopt_graph.Graph_io.load path
+    | Some path -> (
+      try Ok (Gopt_graph.Graph_io.load path) with Sys_error m | Failure m -> Error m)
     | None -> (
       match dataset with
-      | `Ldbc -> Gopt_workloads.Ldbc.generate ~seed ~persons ()
-      | `Transfer -> Gopt_workloads.Transfer_graph.generate ~seed ~accounts ())
+      | `Ldbc -> Ok (Gopt_workloads.Ldbc.generate ~seed ~persons ())
+      | `Transfer -> Ok (Gopt_workloads.Transfer_graph.generate ~seed ~accounts ()))
   in
+  match graph with
+  | Error m ->
+    prerr_endline (Gopt.render_diagnostics [ Diag.error ~path:"load" m ]);
+    1
+  | Ok graph ->
   (match save with
   | Some path ->
     Gopt_graph.Graph_io.save graph path;
@@ -185,7 +202,7 @@ let run_main dataset persons accounts seed lang planner backend workers chunk_si
           q.Gopt_workloads.Queries.description q.Gopt_workloads.Queries.cypher;
         q.Gopt_workloads.Queries.cypher
       | None, Some q -> q
-      | None, None -> failwith "provide a query or --workload NAME (or --stats)"
+      | None, None -> assert false (* rejected by has_work *)
     in
     front_door @@ fun () ->
     if explain then begin

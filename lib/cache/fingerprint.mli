@@ -7,20 +7,9 @@
     — a counter bumped whenever the graph schema or GLogue statistics
     change, so stale plans can never be served after the cost model moved.
 
-    {!auto_parameterize} additionally canonicalizes literals: two queries
-    differing only in scalar constants collapse to one cached plan, with the
-    constants extracted as parameter bindings and re-bound at execution. *)
-
-val auto_parameterize :
-  Gopt_lang.Cypher_ast.query -> Gopt_lang.Cypher_ast.query * (string * Gopt_graph.Value.t list) list
-(** Replace scalar literals ([Int]/[Float]/[Str] constants) in the query's
-    expressions with fresh [Expr.Param "@p0"], ["@p1"], … placeholders
-    (deterministic traversal order), returning the extracted bindings.
-
-    Soundness exclusions — literals that shape the plan itself stay inline:
-    [Bool]/[Null] constants, constants compared against [label(x)] (they
-    drive type-constraint narrowing during inference), [IN]-list value sets,
-    and pattern property maps (lowered into scan/expand constraints). *)
+    Scalar [$x] parameters parsed in deferred mode stay [Expr.Param]
+    placeholders in the AST, so queries differing only in their bindings
+    share one key; literals are part of the key. *)
 
 val digest : config:string -> epoch:int -> Gopt_lang.Cypher_ast.query -> string
 (** Hex digest over the AST's structure, the planner-configuration

@@ -45,7 +45,7 @@ val infer :
     anchored at [path]. With [schema], [Prop] accesses resolve the declared
     property kinds of the types admitted by the element's constraint.
     [param_ty] supplies a declared/inferred scalar kind for [Param]
-    placeholders (prepared statements); parameters without one type as
+    placeholders (parameterized plans); parameters without one type as
     {!Any}, and a declared non-scalar parameter kind is an error. *)
 
 val prop_ty :

@@ -5,7 +5,6 @@ module Planner = Gopt_opt.Planner
 module Physical = Gopt_opt.Physical
 module Engine = Gopt_exec.Engine
 module Batch = Gopt_exec.Batch
-module Logical = Gopt_gir.Logical
 module Plan_cache = Gopt_cache.Plan_cache
 module Fingerprint = Gopt_cache.Fingerprint
 
@@ -22,15 +21,13 @@ module Session = struct
     cache : (Physical.t * Planner.report) Plan_cache.t;
   }
 
-  let create ?(glogue_k = 3) ?(estimator_mode = Gq.High_order) ?selectivity
-      ?(histograms = true) ?(plan_cache_capacity = 128) graph =
-    let glogue = Glogue.build ~max_k:glogue_k graph in
-    let hist = if histograms then Some (Gopt_glogue.Histograms.build graph) else None in
+  let create ?(plan_cache_capacity = 128) graph =
+    let glogue = Glogue.build graph in
     {
       graph;
       glogue;
-      gq = Gq.create ?selectivity ~mode:estimator_mode ?histograms:hist glogue;
-      gq_low = Gq.create ?selectivity ~mode:Gq.Low_order glogue;
+      gq = Gq.create ~histograms:(Gopt_glogue.Histograms.build graph) glogue;
+      gq_low = Gq.create ~mode:Gq.Low_order glogue;
       epoch = 0;
       cache = Plan_cache.create ~capacity:plan_cache_capacity ();
     }
@@ -61,16 +58,7 @@ let profile_for (config : Planner.config) =
     Engine.graphscope_profile
   else Engine.neo4j_profile
 
-let run_logical ?config ?profile ?budget ?chunk_size ?workers
-    (s : Session.t) logical =
-  let config = match config with Some c -> c | None -> Planner.default_config () in
-  let profile = match profile with Some p -> p | None -> profile_for config in
-  let physical, report = Planner.plan config s.Session.gq logical in
-  let result, exec_stats =
-    Engine.run ~profile ?budget ?chunk_size ?workers s.Session.graph
-      physical
-  in
-  { result; exec_stats; report; physical }
+let resolve_config = function Some c -> c | None -> Planner.default_config ()
 
 let cypher_to_gir ?params (s : Session.t) src =
   let ast = Gopt_lang.Cypher_parser.parse ?params src in
@@ -112,12 +100,15 @@ let cache_note ~hit (s : Session.t) =
   }
 
 (* Plan [ast] through the session cache: the fingerprint covers the AST, the
-   planner configuration (signed as [config_sig]) and the current stats
-   epoch, so a hit is guaranteed to be the plan this configuration would
-   produce right now. The cached report keeps the planning-time statistics;
-   only the cache note is refreshed per serve. *)
-let plan_cached (s : Session.t) config ~config_sig ast =
-  let key = Fingerprint.digest ~config:config_sig ~epoch:s.Session.epoch ast in
+   planner configuration and the current stats epoch, so a hit is
+   guaranteed to be the plan this configuration would produce right now.
+   The cached report keeps the planning-time statistics; only the cache
+   note is refreshed per serve. *)
+let plan_cached ?config (s : Session.t) ast =
+  let config = resolve_config config in
+  let key =
+    Fingerprint.digest ~config:(config_signature config) ~epoch:s.Session.epoch ast
+  in
   let hit, (physical, report) =
     match Plan_cache.find s.Session.cache key with
     | Some entry -> (true, entry)
@@ -127,132 +118,49 @@ let plan_cached (s : Session.t) config ~config_sig ast =
       Plan_cache.add s.Session.cache key entry;
       (false, entry)
   in
-  (physical, { report with Planner.plan_cache = Some (cache_note ~hit s) })
+  (config, physical, { report with Planner.plan_cache = Some (cache_note ~hit s) })
 
-let plan_ast_cached ?config (s : Session.t) ast =
-  let config = match config with Some c -> c | None -> Planner.default_config () in
-  let physical, report =
-    plan_cached s config ~config_sig:(config_signature config) ast
-  in
-  (config, physical, report)
-
-let run_cypher ?params ?config ?profile ?budget ?chunk_size ?workers s src =
+let run_cypher ?params ?config ?budget ?chunk_size ?workers s src =
   (* without bindings nothing can bind a placeholder later: an unbound $x
      fails at parse time, as on the uncached path *)
   let ast =
     Gopt_lang.Cypher_parser.parse ?params ~defer_params:(Option.is_some params) src
   in
-  let config, physical, report = plan_ast_cached ?config s ast in
-  let profile = match profile with Some p -> p | None -> profile_for config in
+  let config, physical, report = plan_cached ?config s ast in
+  (* an empty binding list still runs the pass: a plan that carries
+     placeholders fails naming the missing $x, not in Eval *)
+  let runnable =
+    match params with
+    | Some bindings -> Physical.bind_params bindings physical
+    | None -> physical
+  in
   let result, exec_stats =
-    Engine.run ~profile ?budget ?chunk_size ?workers ?params s.Session.graph physical
+    Engine.run ~profile:(profile_for config) ?budget ?chunk_size ?workers
+      s.Session.graph runnable
   in
   { result; exec_stats; report; physical }
 
-let run_gremlin ?config ?profile ?budget ?chunk_size ?workers s src =
-  run_logical ?config ?profile ?budget ?chunk_size ?workers s
-    (gremlin_to_gir s src)
+let run_gremlin ?config ?budget ?chunk_size ?workers s src =
+  let config = resolve_config config in
+  let physical, report = Planner.plan config s.Session.gq (gremlin_to_gir s src) in
+  let result, exec_stats =
+    Engine.run ~profile:(profile_for config) ?budget ?chunk_size ?workers
+      s.Session.graph physical
+  in
+  { result; exec_stats; report; physical }
 
 let plan_cypher ?params ?config ?(use_cache = false) s src =
   if not use_cache then
-    let config = match config with Some c -> c | None -> Planner.default_config () in
-    Planner.plan config s.Session.gq (cypher_to_gir ?params s src)
+    Planner.plan (resolve_config config) s.Session.gq (cypher_to_gir ?params s src)
   else
     let ast = Gopt_lang.Cypher_parser.parse ?params ~defer_params:true src in
-    let _, physical, report = plan_ast_cached ?config s ast in
+    let _, physical, report = plan_cached ?config s ast in
     (physical, report)
-
-(* --- prepared statements --------------------------------------------------- *)
-
-module Prepared = struct
-  type t = {
-    session : Session.t;
-    config : Planner.config;
-    config_sig : string;
-    ast : Gopt_lang.Cypher_ast.query;
-    base_params : (string * Gopt_graph.Value.t list) list;
-    param_names : string list;
-    source : string;
-  }
-
-  (* Parameter placeholders surviving in the statement's expressions, in
-     first-occurrence order (auto-extracted "@pN" slots plus user "$x"). *)
-  let ast_params (q : Gopt_lang.Cypher_ast.query) =
-    let open Gopt_lang.Cypher_ast in
-    let seen = Hashtbl.create 8 in
-    let acc = ref [] in
-    let expr e =
-      List.iter
-        (fun name ->
-          if not (Hashtbl.mem seen name) then begin
-            Hashtbl.add seen name ();
-            acc := name :: !acc
-          end)
-        (Gopt_pattern.Expr.params e)
-    in
-    let projection p =
-      List.iter
-        (fun it ->
-          match it.item with
-          | Scalar e -> expr e
-          | Agg (_, _, arg) -> Option.iter expr arg)
-        p.items;
-      List.iter (fun (e, _) -> expr e) p.order_by;
-      Option.iter expr p.where
-    in
-    let clause = function
-      | C_match { where; _ } ->
-        List.iter (function Wc_expr e -> expr e | Wc_pattern _ -> ()) where
-      | C_unwind (e, _) -> expr e
-      | C_with p | C_return p -> projection p
-    in
-    List.iter (List.iter clause) q.parts;
-    List.rev !acc
-
-  let params t = t.param_names
-  let source t = t.source
-
-  let execute ?params ?profile ?budget ?chunk_size ?workers t =
-    let s = t.session in
-    let physical, report = plan_cached s t.config ~config_sig:t.config_sig t.ast in
-    let supplied = Option.value params ~default:[] in
-    let bindings =
-      supplied
-      @ List.filter
-          (fun (name, _) -> not (List.mem_assoc name supplied))
-          t.base_params
-    in
-    let profile = match profile with Some p -> p | None -> profile_for t.config in
-    let result, exec_stats =
-      Engine.run ~profile ?budget ?chunk_size ?workers ~params:bindings
-        s.Session.graph physical
-    in
-    { result; exec_stats; report; physical }
-end
-
-let prepare_cypher ?params ?config ?(auto_params = false) (s : Session.t) src =
-  let config = match config with Some c -> c | None -> Planner.default_config () in
-  let ast = Gopt_lang.Cypher_parser.parse ?params ~defer_params:true src in
-  let ast, base_params =
-    if auto_params then Fingerprint.auto_parameterize ast else (ast, [])
-  in
-  {
-    Prepared.session = s;
-    config;
-    config_sig = config_signature config;
-    ast;
-    base_params;
-    param_names = Prepared.ast_params ast;
-    source = src;
-  }
 
 (* --- static checking (the --lint front door) ------------------------------- *)
 
 module Diagnostic = Gopt_check.Diagnostic
 module Plan_check = Gopt_check.Plan_check
-
-let check_gir (s : Session.t) gir =
-  Plan_check.check ~schema:(Session.schema s) gir
 
 let front_door_error = function
   | Gopt_lang.Cypher_parser.Parse_error m | Gopt_lang.Gremlin_parser.Parse_error m ->
@@ -264,7 +172,7 @@ let front_door_error = function
 
 let check_of_thunk to_gir s =
   match to_gir () with
-  | gir -> check_gir s gir
+  | gir -> Plan_check.check ~schema:(Session.schema s) gir
   | exception e -> (
     match front_door_error e with Some d -> [ d ] | None -> raise e)
 
@@ -279,31 +187,8 @@ let render_trace (o : outcome) =
   | Some tr -> Gopt_exec.Op_trace.to_string tr
   | None -> "(no per-operator trace recorded)"
 
-let explain_analyze_cypher ?params ?config ?profile ?budget ?chunk_size
-    ?workers s src =
-  let o =
-    run_cypher ?params ?config ?profile ?budget ?chunk_size ?workers s src
-  in
-  let txt =
-    Format.asprintf "@[<v>== physical ==@,%a@,== execution ==@,%s@,%d rows, %d edges touched, peak %d live rows@]"
-      (Physical.pp ~schema:(Session.schema s))
-      o.physical (render_trace o)
-      (Batch.n_rows o.result)
-      o.exec_stats.Engine.edges_touched o.exec_stats.Engine.peak_rows
-  in
-  let txt =
-    if o.exec_stats.Engine.workers_used > 1 then
-      txt
-      ^ Printf.sprintf "\n%d workers, %d exchange rows (%d cells)"
-          o.exec_stats.Engine.workers_used o.exec_stats.Engine.exchange_rows
-          o.exec_stats.Engine.exchange_cells
-    else txt
-  in
-  (o, txt)
-
 let explain_logical ?config s logical =
-  let config = match config with Some c -> c | None -> Planner.default_config () in
-  let physical, report = Planner.plan config s.Session.gq logical in
+  let physical, report = Planner.plan (resolve_config config) s.Session.gq logical in
   let schema = Session.schema s in
   Format.asprintf
     "@[<v>== logical (input) ==@,%a@,== logical (optimized) ==@,%a@,== rules applied ==@,%s@,== physical ==@,%a@]"

@@ -29,21 +29,7 @@ type stats = Op_trace.stats = {
 
 exception Timeout = Op_trace.Timeout
 
-(* Parameter bindings are resolved once, at plan granularity, before either
-   engine sees the plan: substituting [Param -> Const] up front keeps the
-   per-row evaluators binding-free and makes prepared execution byte-identical
-   to executing the equivalent literal plan. *)
-let resolve_params ?params plan =
-  match params with
-  | None -> plan
-  (* an empty binding list still runs the pass: a plan that carries
-     placeholders must fail with the descriptive undefined-parameter
-     diagnostic, not the Eval safety net *)
-  | Some bindings -> Gopt_opt.Physical.bind_params bindings plan
+let run ?profile ?budget ?chunk_size ?(workers = 1) g plan =
+  Parallel.run ?profile ?budget ?chunk_size ~workers g plan
 
-let run ?profile ?budget ?chunk_size ?(workers = 1) ?params g plan =
-  Parallel.run ?profile ?budget ?chunk_size ~workers g
-    (resolve_params ?params plan)
-
-let run_materialized ?profile ?budget ?params g plan =
-  Engine_reference.run ?profile ?budget g (resolve_params ?params plan)
+let run_materialized = Engine_reference.run

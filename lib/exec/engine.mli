@@ -65,7 +65,6 @@ val run :
   ?budget:float ->
   ?chunk_size:int ->
   ?workers:int ->
-  ?params:(string * Gopt_graph.Value.t list) list ->
   Gopt_graph.Property_graph.t ->
   Gopt_opt.Physical.t ->
   Batch.t * stats
@@ -78,10 +77,8 @@ val run :
     (falling back to the row interpreter for shapes without one), and
     all-variable projections are column swaps.
 
-    [params] binds prepared-statement placeholders ({!Gopt_pattern.Expr.Param})
-    before execution; each scalar placeholder must bind exactly one value.
-    Raises [Invalid_argument] naming the missing parameter and the supplied
-    set when a placeholder is left unbound.
+    A plan carrying [$x] placeholders ({!Gopt_pattern.Expr.Param}) runs
+    after {!Gopt_opt.Physical.bind_params} has substituted them.
 
     [workers] (default 1, at least 1) is the number of OCaml domains. Scans
     and materialized intermediates are split into morsels of one chunk
@@ -102,7 +99,6 @@ val run :
 val run_materialized :
   ?profile:profile ->
   ?budget:float ->
-  ?params:(string * Gopt_graph.Value.t list) list ->
   Gopt_graph.Property_graph.t ->
   Gopt_opt.Physical.t ->
   Batch.t * stats

@@ -116,6 +116,67 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
     | Rval.Rvertex v -> v
     | _ -> invalid_arg "Engine: expected a vertex binding"
   in
+  (* [a]'s rows then [b]'s, in [a]'s field order *)
+  let union_batches a b =
+    let out = Batch.create (Batch.fields a) in
+    (* same layout: column-wise append instead of re-adding row by row *)
+    Batch.append_batch out a;
+    Batch.iter (fun row -> Batch.add out (Batch.project_to b (Batch.fields a) row)) b;
+    out
+  in
+  let join_batches lb rb keys kind =
+    let lkeys = List.map (Batch.pos lb) keys and rkeys = List.map (Batch.pos rb) keys in
+    let right_extra = List.filter (fun f -> not (Batch.has_field lb f)) (Batch.fields rb) in
+    let out_fields =
+      match kind with
+      | Logical.Semi | Logical.Anti -> Batch.fields lb
+      | Logical.Inner | Logical.Left_outer -> Batch.fields lb @ right_extra
+    in
+    let out = Batch.create out_fields in
+    let right_extra_pos = List.map (Batch.pos rb) right_extra in
+    let emit lrow rrow =
+      Batch.add out
+        (Array.append lrow (Array.of_list (List.map (fun p -> rrow.(p)) right_extra_pos)))
+    in
+    let build b positions =
+      let table = KeyTbl.create (max 16 (Batch.n_rows b)) in
+      Batch.iter
+        (fun row ->
+          tick ();
+          let key = List.map (fun p -> row.(p)) positions in
+          let cur = Option.value ~default:[] (KeyTbl.find_opt table key) in
+          KeyTbl.replace table key (row :: cur))
+        b;
+      table
+    in
+    let probe table positions row =
+      tick ();
+      Option.value ~default:[] (KeyTbl.find_opt table (List.map (fun p -> row.(p)) positions))
+    in
+    if kind = Logical.Inner && Batch.n_rows lb < Batch.n_rows rb then begin
+      (* inner joins are symmetric: build the hash table on the smaller
+         input and probe with the larger one *)
+      let table = build lb lkeys in
+      Batch.iter (fun rrow -> List.iter (fun lrow -> emit lrow rrow) (probe table rkeys rrow)) rb
+    end
+    else begin
+      let table = build rb rkeys in
+      Batch.iter
+        (fun lrow ->
+          let matches = probe table lkeys lrow in
+          match kind with
+          | Logical.Inner -> List.iter (fun rrow -> emit lrow rrow) matches
+          | Logical.Left_outer ->
+            if matches = [] then
+              Batch.add out
+                (Array.append lrow (Array.make (List.length right_extra_pos) Rval.Rnull))
+            else List.iter (fun rrow -> emit lrow rrow) matches
+          | Logical.Semi -> if matches <> [] then Batch.add out lrow
+          | Logical.Anti -> if matches = [] then Batch.add out lrow)
+        lb
+    end;
+    out
+  in
   let rec exec common plan =
     match plan with
     | Physical.Empty fields -> record (Batch.create fields)
@@ -346,67 +407,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
       r
     | Physical.Hash_join { left; right; keys; kind } ->
       let lb = exec common left and rb = exec common right in
-      let lkeys = List.map (Batch.pos lb) keys and rkeys = List.map (Batch.pos rb) keys in
-      let right_extra =
-        List.filter (fun f -> not (Batch.has_field lb f)) (Batch.fields rb)
-      in
-      let out_fields =
-        match kind with
-        | Logical.Semi | Logical.Anti -> Batch.fields lb
-        | Logical.Inner | Logical.Left_outer -> Batch.fields lb @ right_extra
-      in
-      let out = Batch.create out_fields in
-      let right_extra_pos = List.map (Batch.pos rb) right_extra in
-      let emit lrow rrow =
-        Batch.add out
-          (Array.append lrow (Array.of_list (List.map (fun p -> rrow.(p)) right_extra_pos)))
-      in
-      if kind = Logical.Inner && Batch.n_rows lb < Batch.n_rows rb then begin
-        (* inner joins are symmetric: build the hash table on the smaller
-           input and probe with the larger one *)
-        let table = KeyTbl.create (max 16 (Batch.n_rows lb)) in
-        Batch.iter
-          (fun lrow ->
-            tick ();
-            let key = List.map (fun p -> lrow.(p)) lkeys in
-            let cur = Option.value ~default:[] (KeyTbl.find_opt table key) in
-            KeyTbl.replace table key (lrow :: cur))
-          lb;
-        Batch.iter
-          (fun rrow ->
-            tick ();
-            let key = List.map (fun p -> rrow.(p)) rkeys in
-            List.iter
-              (fun lrow -> emit lrow rrow)
-              (Option.value ~default:[] (KeyTbl.find_opt table key)))
-          rb
-      end
-      else begin
-        let table = KeyTbl.create (max 16 (Batch.n_rows rb)) in
-        Batch.iter
-          (fun row ->
-            tick ();
-            let key = List.map (fun p -> row.(p)) rkeys in
-            let cur = Option.value ~default:[] (KeyTbl.find_opt table key) in
-            KeyTbl.replace table key (row :: cur))
-          rb;
-        Batch.iter
-          (fun lrow ->
-            tick ();
-            let key = List.map (fun p -> lrow.(p)) lkeys in
-            let matches = Option.value ~default:[] (KeyTbl.find_opt table key) in
-            match kind with
-            | Logical.Inner -> List.iter (fun rrow -> emit lrow rrow) matches
-            | Logical.Left_outer ->
-              if matches = [] then
-                Batch.add out
-                  (Array.append lrow (Array.make (List.length right_extra_pos) Rval.Rnull))
-              else List.iter (fun rrow -> emit lrow rrow) matches
-            | Logical.Semi -> if matches <> [] then Batch.add out lrow
-            | Logical.Anti -> if matches = [] then Batch.add out lrow)
-          lb
-      end;
-      let r = record out in
+      let r = record (join_batches lb rb keys kind) in
       release common lb;
       release common rb;
       r
@@ -560,11 +561,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
       r
     | Physical.Union (a, b) ->
       let ba = exec common a and bb = exec common b in
-      let out = Batch.create (Batch.fields ba) in
-      (* same layout: column-wise append instead of re-adding row by row *)
-      Batch.append_batch out ba;
-      Batch.iter (fun row -> Batch.add out (Batch.project_to bb (Batch.fields ba) row)) bb;
-      let r = record out in
+      let r = record (union_batches ba bb) in
       release common ba;
       release common bb;
       r
@@ -599,11 +596,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
       let rb = exec inner right in
       let combined =
         match combine with
-        | Logical.C_union ->
-          let out = Batch.create (Batch.fields lb) in
-          Batch.append_batch out lb;
-          Batch.iter (fun row -> Batch.add out (Batch.project_to rb (Batch.fields lb) row)) rb;
-          out
+        | Logical.C_union -> union_batches lb rb
         | Logical.C_join (keys, kind) -> join_batches lb rb keys kind
       in
       let r = record combined in
@@ -611,50 +604,6 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
       release inner rb;
       Op_trace.live_sub stats (Batch.n_rows cb);
       r
-  and join_batches lb rb keys kind =
-    let lkeys = List.map (Batch.pos lb) keys and rkeys = List.map (Batch.pos rb) keys in
-    let right_extra = List.filter (fun f -> not (Batch.has_field lb f)) (Batch.fields rb) in
-    let out_fields =
-      match kind with
-      | Logical.Semi | Logical.Anti -> Batch.fields lb
-      | Logical.Inner | Logical.Left_outer -> Batch.fields lb @ right_extra
-    in
-    let out = Batch.create out_fields in
-    let table = KeyTbl.create (max 16 (Batch.n_rows rb)) in
-    Batch.iter
-      (fun row ->
-        let key = List.map (fun p -> row.(p)) rkeys in
-        let cur = Option.value ~default:[] (KeyTbl.find_opt table key) in
-        KeyTbl.replace table key (row :: cur))
-      rb;
-    let right_extra_pos = List.map (Batch.pos rb) right_extra in
-    Batch.iter
-      (fun lrow ->
-        let key = List.map (fun p -> lrow.(p)) lkeys in
-        let matches = Option.value ~default:[] (KeyTbl.find_opt table key) in
-        match kind with
-        | Logical.Inner ->
-          List.iter
-            (fun rrow ->
-              Batch.add out
-                (Array.append lrow
-                   (Array.of_list (List.map (fun p -> rrow.(p)) right_extra_pos))))
-            matches
-        | Logical.Left_outer ->
-          if matches = [] then
-            Batch.add out
-              (Array.append lrow (Array.make (List.length right_extra_pos) Rval.Rnull))
-          else
-            List.iter
-              (fun rrow ->
-                Batch.add out
-                  (Array.append lrow
-                     (Array.of_list (List.map (fun p -> rrow.(p)) right_extra_pos))))
-              matches
-        | Logical.Semi -> if matches <> [] then Batch.add out lrow
-        | Logical.Anti -> if matches = [] then Batch.add out lrow)
-      lb;
-    out
   in
   let result = exec None plan in
   (result, stats)

@@ -81,13 +81,13 @@ and eval g lookup e =
   match e with
   | Expr.Const v -> v
   | Expr.Param name ->
-    (* Prepared-statement placeholders are substituted by [Engine.run
-       ~params] before any operator evaluates; reaching one here means the
-       plan was executed without its bindings. *)
+    (* [$x] placeholders are substituted by [Physical.bind_params] before
+       any operator evaluates; reaching one here means the plan was executed
+       without its bindings. *)
     invalid_arg
       (Printf.sprintf
-         "Eval: unresolved query parameter $%s — execute prepared plans with their \
-          parameter bindings (Engine.run ~params / Prepared.execute)"
+         "Eval: unresolved query parameter $%s — bind the plan's parameters with \
+          Physical.bind_params, or run the query with Gopt.run_cypher ~params"
          name)
   | Expr.Var tag -> begin
     match lookup tag with Some v -> Rval.to_value g v | None -> Value.Null

@@ -11,7 +11,7 @@ type state = {
   mutable pos : int;
   params : (string * Value.t list) list;
   defer : bool;
-      (* Prepared-statement mode: scalar [$x] parses to [Expr.Param x] instead
+      (* Deferred mode: scalar [$x] parses to [Expr.Param x] instead
          of being substituted from [params]; IN-lists and property maps still
          bind at parse time (they shape the pattern, not a runtime value). *)
 }

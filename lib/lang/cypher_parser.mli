@@ -5,7 +5,7 @@
     only legal as the right-hand side of [IN]. An undefined [$name] raises
     {!Parse_error} naming the missing parameter and the supplied set.
 
-    With [defer_params] (prepared statements), scalar [$name] parses to
+    With [defer_params] (cached parameterized plans), scalar [$name] parses to
     {!Gopt_pattern.Expr.Param} — a placeholder carried through the whole
     optimization pipeline and bound at execution — while [IN]-list and
     property-map parameters still substitute at parse time from [params]

@@ -99,7 +99,7 @@ let rec uses_intersect = function
   | With_common { common; left; right; _ } ->
     uses_intersect common || uses_intersect left || uses_intersect right
 
-(* --- expression positions (prepared-statement parameters) ----------------- *)
+(* --- expression positions (query parameters) ------------------------------ *)
 
 let map_step f s =
   {

@@ -42,7 +42,7 @@ type cache_note = {
   cache_invalidations : int;
 }
 (** Plan-cache observability attached by the [Gopt] façade when a query is
-    answered through the session's prepared-plan cache. The planner itself
+    answered through the session's plan cache. The planner itself
     never consults a cache — [plan] always reports [plan_cache = None]. *)
 
 type report = {

@@ -20,9 +20,9 @@ type t =
   | Param of string
       (** A named query parameter ([$name]), left unresolved through the
           whole optimization pipeline and bound to a constant only at
-          execution time (prepared statements). Parameters are scalars;
+          execution time (cached parameterized plans). Parameters are scalars;
           labels and IN-list value sets are {e not} parameterizable, so type
-          inference and label narrowing stay sound on prepared plans. *)
+          inference and label narrowing stay sound on parameterized plans. *)
   | Var of string
       (** Value of a tagged result: the id of a vertex/edge, or a scalar. *)
   | Prop of string * string  (** [Prop (tag, key)] is [tag.key]. *)

@@ -208,7 +208,13 @@ let generate ?(seed = 42) ~persons () =
         let target =
           if Prng.int rng 10 < 7 then begin
             let offset = 1 + Prng.int rng 60 in
-            let j = (i + if Prng.bool rng then offset else persons - offset) mod persons in
+            (* below 60 persons [i + persons - offset] can be negative:
+               wrap it into range rather than index with a negative mod *)
+            let j =
+              (((i + if Prng.bool rng then offset else persons - offset) mod persons)
+              + persons)
+              mod persons
+            in
             people.(j)
           end
           else zipf_person ()

@@ -1,19 +1,17 @@
-(* Tests for the prepared-query / plan-cache subsystem (gopt_cache + the
-   Gopt façade glue):
+(* Tests for the plan-cache subsystem (gopt_cache + the Gopt façade glue):
 
    - Plan_cache: LRU behaviour, counters, disabled mode, and a multi-domain
      hammering smoke test for the mutex-guarded critical sections.
-   - Fingerprint: whitespace-insensitivity, literal- and epoch-sensitivity,
-     and auto-parameterization soundness (label comparisons and IN-lists
-     stay inline).
+   - Fingerprint: whitespace-insensitivity, literal- and epoch-sensitivity.
    - Parameter errors: the descriptive undefined-$param message at parse
-     time and through the prepared path.
+     time and through [Gopt.run_cypher ~params].
    - Plan_codec: qcheck roundtrip stability over every workload query's
      CBO output, including plans carrying Param placeholders.
-   - Differential: cached execution is byte-identical to the cold path on
-     the full workload suite and on 50 generated random queries, across
-     5 distinct parameter bindings, across workers 1 and 4, and after a
-     forced stats-epoch invalidation. *)
+   - Differential: cached execution is byte-identical to the cold path
+     (parse-time substitution, no cache, [Engine.run]) on the full workload
+     suite and on 50 generated random queries, across 5 distinct parameter
+     bindings, across workers 1 and 4, and after a forced stats-epoch
+     invalidation. *)
 
 module Plan_cache = Gopt_cache.Plan_cache
 module Fingerprint = Gopt_cache.Fingerprint
@@ -136,46 +134,6 @@ let test_fp_sensitivity () =
   Alcotest.(check bool) "query shape changes the key" true
     (digest base <> digest "MATCH (a:Person) WHERE a.age > 30 RETURN a.age AS n")
 
-let test_fp_auto_parameterize () =
-  let q v =
-    Cp.parse
-      (Printf.sprintf
-         "MATCH (a:Person) WHERE a.age > %d AND a.name = 'p%d' RETURN a.name AS n" v v)
-  in
-  let a1, b1 = Fingerprint.auto_parameterize (q 30) in
-  let a2, b2 = Fingerprint.auto_parameterize (q 55) in
-  Alcotest.(check bool) "literal-free ASTs collide" true (a1 = a2);
-  Alcotest.(check string) "collapsed keys equal"
-    (Fingerprint.digest ~config:"c" ~epoch:0 a1)
-    (Fingerprint.digest ~config:"c" ~epoch:0 a2);
-  Alcotest.(check int) "two slots extracted" 2 (List.length b1);
-  Alcotest.(check bool) "bindings carry the literals" true
-    (b1 = [ ("@p0", [ Value.Int 30 ]); ("@p1", [ Value.Str "p30" ]) ]
-    && b2 = [ ("@p0", [ Value.Int 55 ]); ("@p1", [ Value.Str "p55" ]) ])
-
-let test_fp_auto_param_soundness () =
-  (* label comparisons drive type narrowing: their constants must stay *)
-  let ast, bs =
-    Fingerprint.auto_parameterize
-      (Cp.parse "MATCH (a:Person) WHERE label(a) = 'Person' RETURN count(*) AS c")
-  in
-  Alcotest.(check int) "label literal not lifted" 0 (List.length bs);
-  Alcotest.(check bool) "AST unchanged" true
-    (ast = Cp.parse "MATCH (a:Person) WHERE label(a) = 'Person' RETURN count(*) AS c");
-  (* IN-list value sets shape the pattern: not lifted either *)
-  let _, bs2 =
-    Fingerprint.auto_parameterize
-      (Cp.parse "MATCH (a:Person) WHERE a.name IN ['p0', 'p1'] RETURN count(*) AS c")
-  in
-  Alcotest.(check int) "IN values not lifted" 0 (List.length bs2);
-  (* booleans and NULL stay; the scalar operand of IN is still lifted *)
-  let _, bs3 =
-    Fingerprint.auto_parameterize
-      (Cp.parse "MATCH (a:Person) WHERE a.age + 1 IN [19, 20] RETURN count(*) AS c")
-  in
-  Alcotest.(check bool) "arithmetic literal lifted" true
-    (bs3 = [ ("@p0", [ Value.Int 1 ]) ])
-
 (* --- parameter diagnostics ------------------------------------------------ *)
 
 let check_raises_containing name needles f =
@@ -213,16 +171,15 @@ let fixture_session = lazy (Gopt.Session.create Fixtures.graph)
 
 let test_param_execution_errors () =
   let s = Lazy.force fixture_session in
-  let prepared =
-    Gopt.prepare_cypher s "MATCH (a:Person) WHERE a.age > $lo RETURN a.name AS n"
+  let run params =
+    Gopt.run_cypher ~params s "MATCH (a:Person) WHERE a.age > $lo RETURN a.name AS n"
   in
-  Alcotest.(check (list string)) "declared params" [ "lo" ] (Gopt.Prepared.params prepared);
   check_raises_containing "unbound at execution" [ "$lo"; "supplied: none" ] (fun () ->
-      Gopt.Prepared.execute prepared);
+      run []);
   check_raises_containing "wrong binding at execution" [ "$lo"; "$hi" ] (fun () ->
-      Gopt.Prepared.execute ~params:[ ("hi", [ Value.Int 3 ]) ] prepared);
+      run [ ("hi", [ Value.Int 3 ]) ]);
   check_raises_containing "multi-value scalar" [ "$lo"; "2 values" ] (fun () ->
-      Gopt.Prepared.execute ~params:[ ("lo", [ Value.Int 1; Value.Int 2 ]) ] prepared)
+      run [ ("lo", [ Value.Int 1; Value.Int 2 ]) ])
 
 let test_param_typing () =
   let lookup _ = None in
@@ -310,12 +267,18 @@ let render g b =
     b;
   Buffer.contents buf
 
+(* The uncached path: parameters substituted at parse time, no plan cache,
+   the default engine profile. *)
+let cold ?params s src =
+  let physical, _ = Gopt.plan_cypher ?params s src in
+  fst (Engine.run (Gopt.Session.graph s) physical)
+
 let test_workload_cached_vs_cold () =
   let s = Lazy.force ldbc_session in
   let g = Gopt.Session.graph s in
   List.iter
     (fun (q : Queries.query) ->
-      let cold = Gopt.run_logical s (Gopt.cypher_to_gir s q.Queries.cypher) in
+      let cold = cold s q.Queries.cypher in
       let warm1 = Gopt.run_cypher s q.Queries.cypher in
       let warm2 = Gopt.run_cypher s q.Queries.cypher in
       (match warm2.Gopt.report.Planner.plan_cache with
@@ -325,7 +288,7 @@ let test_workload_cached_vs_cold () =
       | None -> Alcotest.failf "%s: no cache note on cached run" q.Queries.name);
       Alcotest.(check string)
         (q.Queries.name ^ ": cold = warm")
-        (render g cold.Gopt.result) (render g warm1.Gopt.result);
+        (render g cold) (render g warm1.Gopt.result);
       Alcotest.(check string)
         (q.Queries.name ^ ": warm stable")
         (render g warm1.Gopt.result) (render g warm2.Gopt.result);
@@ -338,15 +301,13 @@ let test_workload_cached_vs_cold () =
     workload_queries
 
 let test_random_cached_vs_cold () =
-  let s = Lazy.force ldbc_session in
-  ignore s;
   (* Gen_query targets the Fixtures schema, so run these on that session *)
   let s = Lazy.force fixture_session in
   let g = Gopt.Session.graph s in
   for seed = 0 to 49 do
     let q = Gen_query.generate seed in
     match
-      let cold = Gopt.run_logical s (Gopt.cypher_to_gir s q) in
+      let cold = cold s q in
       let _warm1 = Gopt.run_cypher s q in
       let warm2 = Gopt.run_cypher s q in
       (cold, warm2)
@@ -354,15 +315,16 @@ let test_random_cached_vs_cold () =
     | cold, warm ->
       Alcotest.(check string)
         (Printf.sprintf "seed %d: cold = cached" seed)
-        (render g cold.Gopt.result) (render g warm.Gopt.result)
+        (render g cold) (render g warm.Gopt.result)
     | exception e ->
       Alcotest.failf "seed %d: %s\nquery:\n  %s" seed (Printexc.to_string e) q
   done
 
-(* 5 distinct bindings through one prepared statement, each checked
-   byte-identical against the cold parse-time-substitution path, at both
-   worker counts; then a forced stats-epoch invalidation, after which the
-   statement replans (miss) and still agrees. *)
+(* 5 distinct bindings of one template through [run_cypher ~params], each
+   checked byte-identical against the cold parse-time-substitution path,
+   and the bound plan at both worker counts; then a forced stats-epoch
+   invalidation, after which the template replans (miss) and still
+   agrees. *)
 let test_prepared_bindings_and_epoch () =
   let g = Gopt_workloads.Ldbc.generate ~persons:60 () in
   let s = Gopt.Session.create g in
@@ -370,7 +332,6 @@ let test_prepared_bindings_and_epoch () =
     "MATCH (p:Person)-[:KNOWS]->(q:Person) WHERE p.birthday > $lo AND q.gender = $g \
      RETURN p.firstName AS a, q.firstName AS b ORDER BY a ASC, b ASC LIMIT 40"
   in
-  let prepared = Gopt.prepare_cypher s src in
   let bindings =
     [
       [ ("lo", [ Value.Int 1980 ]); ("g", [ Value.Str "male" ]) ];
@@ -381,19 +342,19 @@ let test_prepared_bindings_and_epoch () =
     ]
   in
   let check_binding i params =
-    let cold = Gopt.run_logical s (Gopt.cypher_to_gir ~params s src) in
-    let prep = Gopt.Prepared.execute ~params prepared in
+    let warm = Gopt.run_cypher ~params s src in
     Alcotest.(check string)
-      (Printf.sprintf "binding %d: prepared = cold" i)
-      (render g cold.Gopt.result) (render g prep.Gopt.result);
-    let b1, _ = Engine.run ~workers:1 ~params g prep.Gopt.physical in
-    let b4, _ = Engine.run ~workers:4 ~params g prep.Gopt.physical in
+      (Printf.sprintf "binding %d: cached = cold" i)
+      (render g (cold ~params s src)) (render g warm.Gopt.result);
+    let bound = Physical.bind_params params warm.Gopt.physical in
+    let b1, _ = Engine.run ~workers:1 g bound in
+    let b4, _ = Engine.run ~workers:4 g bound in
     Alcotest.(check string)
       (Printf.sprintf "binding %d: workers 1 = 4" i)
       (render g b1) (render g b4)
   in
   List.iteri check_binding bindings;
-  (* after the first execute, the rest were hits *)
+  (* after the first run, the rest were hits *)
   let st = Gopt.Session.plan_cache_stats s in
   Alcotest.(check int) "one optimization for 5 bindings" 1 st.Plan_cache.misses;
   Alcotest.(check int) "four hits" 4 st.Plan_cache.hits;
@@ -403,38 +364,14 @@ let test_prepared_bindings_and_epoch () =
   let st = Gopt.Session.plan_cache_stats s in
   Alcotest.(check bool) "invalidations counted" true (st.Plan_cache.invalidations > 0);
   Alcotest.(check int) "cache emptied" 0 st.Plan_cache.entries;
-  let post = Gopt.Prepared.execute ~params:(List.hd bindings) prepared in
+  let params = List.hd bindings in
+  let post = Gopt.run_cypher ~params s src in
   (match post.Gopt.report.Planner.plan_cache with
   | Some note -> Alcotest.(check bool) "post-bump run replans" false note.Planner.cache_hit
   | None -> Alcotest.fail "post-bump run has no cache note");
-  let cold = Gopt.run_logical s (Gopt.cypher_to_gir ~params:(List.hd bindings) s src) in
+  Alcotest.(check int) "one replan" 2 (Gopt.Session.plan_cache_stats s).Plan_cache.misses;
   Alcotest.(check string) "post-bump result identical"
-    (render g cold.Gopt.result) (render g post.Gopt.result)
-
-let test_auto_params_share_plan () =
-  let s = Lazy.force fixture_session in
-  let g = Gopt.Session.graph s in
-  let src v =
-    Printf.sprintf
-      "MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE a.age > %d RETURN a.name AS n, \
-       b.name AS m ORDER BY n ASC, m ASC"
-      v
-  in
-  let p1 = Gopt.prepare_cypher ~auto_params:true s (src 20) in
-  let p2 = Gopt.prepare_cypher ~auto_params:true s (src 40) in
-  Alcotest.(check (list string)) "one slot" [ "@p0" ] (Gopt.Prepared.params p1);
-  let st0 = Gopt.Session.plan_cache_stats s in
-  let r1 = Gopt.Prepared.execute p1 in
-  let r2 = Gopt.Prepared.execute p2 in
-  let st1 = Gopt.Session.plan_cache_stats s in
-  Alcotest.(check int) "templates share one cache entry" 1
-    (st1.Plan_cache.misses - st0.Plan_cache.misses);
-  Alcotest.(check int) "second template hits" 1 (st1.Plan_cache.hits - st0.Plan_cache.hits);
-  let cold v = Gopt.run_logical s (Gopt.cypher_to_gir s (src v)) in
-  Alcotest.(check string) "auto-param binding 20 = cold"
-    (render g (cold 20).Gopt.result) (render g r1.Gopt.result);
-  Alcotest.(check string) "auto-param binding 40 = cold"
-    (render g (cold 40).Gopt.result) (render g r2.Gopt.result)
+    (render g (cold ~params s src)) (render g post.Gopt.result)
 
 (* session-level LRU pressure: a tiny cache evicts and re-optimizes without
    affecting results *)
@@ -476,10 +413,6 @@ let () =
         [
           Alcotest.test_case "whitespace-insensitive" `Quick test_fp_whitespace;
           Alcotest.test_case "literal/config/epoch sensitivity" `Quick test_fp_sensitivity;
-          Alcotest.test_case "auto-parameterize collapses literals" `Quick
-            test_fp_auto_parameterize;
-          Alcotest.test_case "auto-parameterize soundness" `Quick
-            test_fp_auto_param_soundness;
         ] );
       ( "params",
         [
@@ -498,8 +431,6 @@ let () =
             test_random_cached_vs_cold;
           Alcotest.test_case "prepared bindings + epoch invalidation" `Quick
             test_prepared_bindings_and_epoch;
-          Alcotest.test_case "auto-params share one plan" `Quick
-            test_auto_params_share_plan;
           Alcotest.test_case "session LRU eviction" `Quick test_session_eviction;
         ] );
     ]

@@ -151,6 +151,31 @@ let test_ladder_monotone () =
   in
   Alcotest.(check bool) "scales increase" true (increasing sizes)
 
+(* Every small scale generates, including those below 60 persons, where a
+   local KNOWS offset can exceed the population. *)
+let test_small_scales () =
+  for persons = 1 to 60 do
+    match Ldbc.generate ~persons () with
+    | g ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d persons" persons)
+        persons
+        (Gopt_graph.Property_graph.count_vtype g (Gopt_graph.Schema.vtype_id schema "Person"))
+    | exception e -> Alcotest.failf "%d persons: %s" persons (Printexc.to_string e)
+  done
+
+(* The wrap-around leaves every index that was already in range alone, so
+   the scales that always generated keep their graphs. *)
+let test_scale_counts_unchanged () =
+  List.iter
+    (fun (persons, vertices, edges) ->
+      let g = Ldbc.generate ~persons () in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%d persons: |V|, |E|" persons)
+        (vertices, edges)
+        (Gopt_graph.Property_graph.n_vertices g, Gopt_graph.Property_graph.n_edges g))
+    [ (60, 662, 3145); (1200, 8870, 59568) ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -168,5 +193,8 @@ let () =
         [
           Alcotest.test_case "transfer endpoints" `Quick test_transfer_endpoints_disjoint;
           Alcotest.test_case "scale ladder" `Quick test_ladder_monotone;
+          Alcotest.test_case "scales 1 to 60 generate" `Quick test_small_scales;
+          Alcotest.test_case "counts at 60 and 1200 persons" `Quick
+            test_scale_counts_unchanged;
         ] );
     ]
