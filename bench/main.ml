@@ -581,17 +581,22 @@ let experiments =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let selected = if args = [] then List.map fst experiments else args in
+  (* every name is checked before any experiment runs *)
+  (match List.filter (fun name -> not (List.mem_assoc name experiments)) selected with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment%s %s; available: %s\n"
+      (if List.length unknown > 1 then "s" else "")
+      (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
   Printf.printf "GOpt experiment harness — scale: %d persons, OT budget: %.0fs CPU per run\n%!"
     H.bench_persons H.bench_budget;
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-        Printf.printf "\n%s\n%s\n%!" (String.make 72 '=') name;
-        let t0 = Sys.time () in
-        f ();
-        Printf.printf "[%s done in %.1fs cpu]\n%!" name (Sys.time () -. t0)
-      | None ->
-        Printf.eprintf "unknown experiment %S; available: %s\n" name
-          (String.concat ", " (List.map fst experiments)))
+      let f = List.assoc name experiments in
+      Printf.printf "\n%s\n%s\n%!" (String.make 72 '=') name;
+      let t0 = Sys.time () in
+      f ();
+      Printf.printf "[%s done in %.1fs cpu]\n%!" name (Sys.time () -. t0))
     selected

@@ -222,18 +222,27 @@ let col t j =
 
 let selection t = t.sel
 
-(* --- column gathers (hash-join output) ------------------------------------ *)
+(* --- column gathers (hash-join and expansion output) ---------------------- *)
 
 let gather t j rows n =
-  let pick a =
-    match t.sel with
-    | None -> Array.init n (fun i -> a.(rows.(i)))
-    | Some s -> Array.init n (fun i -> a.(s.(rows.(i))))
+  (* monomorphic int copies: plain stores, no write barrier *)
+  let ints (a : int array) =
+    let d = Array.make n 0 in
+    (match t.sel with
+    | None ->
+      for i = 0 to n - 1 do
+        d.(i) <- a.(rows.(i))
+      done
+    | Some s ->
+      for i = 0 to n - 1 do
+        d.(i) <- a.(s.(rows.(i)))
+      done);
+    d
   in
   match t.cols.(j) with
-  | C_vertex a -> D_vertex (pick a)
-  | C_edge a -> D_edge (pick a)
-  | C_boxed a -> D_boxed (pick a)
+  | C_vertex a -> D_vertex (ints a)
+  | C_edge a -> D_edge (ints a)
+  | C_boxed a -> D_boxed (Array.init n (fun i -> a.(phys_of t rows.(i))))
   | C_empty -> invalid_arg "Batch.gather: empty column"
 
 let of_data field_list n data =

@@ -15,8 +15,8 @@
     views; {!add} applies only to freshly {!create}d batches.
 
     The row-oriented API ({!row}, {!iter}) is preserved for operators that
-    genuinely need row-at-a-time processing (expansions, joins): it
-    materializes row arrays on demand. Vectorized kernels instead read the
+    genuinely need row-at-a-time processing (path expansion, computed
+    projections, keyed grouping): it materializes row arrays on demand. Vectorized kernels instead read the
     physical columns directly via {!col} and index them through
     {!selection}. *)
 
@@ -109,13 +109,14 @@ val gather : t -> int -> int array -> int -> data
 (** [gather b j rows n] copies column [j] at the logical rows
     [rows.(0) .. rows.(n-1)] into fresh storage of the same kind: a dense
     vertex or edge column stays dense. The hash join gathers its output
-    chunk's probe-side columns this way. *)
+    chunk's probe-side columns this way, and the expansions their input
+    columns. *)
 
 val of_data : string list -> int -> data array -> t
 (** [of_data fields n cols] is a fresh batch of [n] rows whose column [j]
     is [cols.(j)] (taken over, not copied; each array holds at least [n]
     cells). Raises [Invalid_argument] when the column count does not match
-    the layout. Assembles a gathered hash-join output chunk. *)
+    the layout. Assembles a gathered hash-join or expansion output chunk. *)
 
 val append_batch : t -> t -> unit
 (** [append_batch dst src] appends [src]'s logical rows to [dst]

@@ -59,8 +59,12 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
   (* iterate (eid, other) over a step's adjacency from bound vertex [v] *)
   let iter_step_adj (step : Physical.edge_step) v f =
     let e = step.Physical.s_edge in
-    let visit_out et = G.iter_out_etype g v et (fun eid -> tick (); f eid (G.edst g eid)) in
-    let visit_in et = G.iter_in_etype g v et (fun eid -> tick (); f eid (G.esrc g eid)) in
+    let visit eid other =
+      tick ();
+      f eid other
+    in
+    let visit_out et = G.iter_out_etype g v et visit in
+    let visit_in et = G.iter_in_etype g v et visit in
     List.iter
       (fun et ->
         if e.Pattern.e_directed then

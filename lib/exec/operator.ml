@@ -10,8 +10,18 @@
    the consumer. Which sources a stage has, what consumes a fragment's output
    and how pipeline breakers merge is [Parallel]'s business; this module
    only moves rows and accounts for them. A compiled fragment keeps its
-   per-operator state (compiled kernels, ExpandIntersect's adjacency cache)
-   across every source it is fed.
+   per-operator state (compiled kernels, output buffers, ExpandIntersect's
+   neighbour cache) across every source it is fed.
+
+   Most operators work on whole chunks. The expansions (ExpandAll,
+   ExpandInto, ExpandIntersect) read their source ids from the dense vertex
+   columns, walk CSR edge-type ranges into int buffers of (input row, edge
+   id, neighbour), and gather each output chunk column by column, so id
+   columns stay dense; their predicates run as compiled kernels, before the
+   gather when they read only the new columns. ExpandIntersect caches each
+   step's sorted neighbour list per anchor in an int-keyed table and probes
+   the lists by binary search. PathExpand, a computed Project and Unfold
+   still work a row at a time.
 
    Stop protocol: a consumer that wants no more rows (a satisfied LIMIT)
    answers [false] to [k_alive]; the next emitter to flush raises the
@@ -24,6 +34,7 @@ module Pattern = Gopt_pattern.Pattern
 module Tc = Gopt_pattern.Type_constraint
 module Physical = Gopt_opt.Physical
 module Vec = Gopt_util.Vec
+module Expr = Gopt_pattern.Expr
 
 exception Stop
 
@@ -99,6 +110,46 @@ let filter tr kern b =
   let selected = run_kern tr kern b in
   if Array.length selected = Batch.n_rows b then b else Batch.select b selected
 
+(* The rows an expansion has found and not yet gathered: per row, the input
+   row it extends and its new ids (edges, then the target vertex). *)
+type xbuf = { x_row : int array; x_ids : int array array; mutable x_n : int }
+
+let xbuf ~chunk_size width =
+  {
+    x_row = Array.make chunk_size 0;
+    x_ids = Array.init width (fun _ -> Array.make chunk_size 0);
+    x_n = 0;
+  }
+
+(* The vertex ids of column [j], one per logical row: read from a dense
+   column, unboxed from a promoted one (-1 for a non-vertex cell, which
+   [source_vertex] rejects when its row is expanded). *)
+let vertex_ids chunk j =
+  let sel = Batch.selection chunk in
+  let phys i = match sel with Some s -> s.(i) | None -> i in
+  let n = Batch.n_rows chunk in
+  match Batch.col chunk j with
+  | Batch.D_vertex a -> Array.init n (fun i -> a.(phys i))
+  | Batch.D_boxed a ->
+    Array.init n (fun i -> match a.(phys i) with Rval.Rvertex v -> v | _ -> -1)
+  | Batch.D_edge _ -> Array.make n (-1)
+
+let source_vertex (ids : int array) i =
+  let v = ids.(i) in
+  if v < 0 then invalid_arg "Engine: expected a vertex binding" else v
+
+(* [c] among an anchor's sorted neighbours, by binary search; the
+   annotations keep [<] off polymorphic compare *)
+let nbr_mem (a : int array) (c : int) =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < c then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length a && a.(!lo) = c
+
+module Int_tbl = Hashtbl.Make (Int)
+
 let compile ctx frag consumer =
   let g = ctx.g and chunk_size = ctx.chunk_size and st = ctx.stats in
   let clk = ctx.clock in
@@ -164,32 +215,39 @@ let compile ctx frag consumer =
     (emit, emit_chunk, close)
   in
   let etypes con = Tc.to_list ~universe:euniv con in
-  let vcheck con v = Tc.mem ~universe:vuniv con (G.vtype g v) in
-  let iter_step_adj (step : Physical.edge_step) v f =
-    let e = step.Physical.s_edge in
-    let visit_out et = G.iter_out_etype g v et (fun eid -> tick (); f eid (G.edst g eid)) in
-    let visit_in et = G.iter_in_etype g v et (fun eid -> tick (); f eid (G.esrc g eid)) in
-    List.iter
-      (fun et ->
-        if e.Pattern.e_directed then
-          if step.Physical.s_forward then visit_out et else visit_in et
-        else begin
-          visit_out et;
-          visit_in et
-        end)
-      (etypes e.Pattern.e_con)
+  (* membership in a vertex type constraint, one array read per vertex *)
+  let vcheck con =
+    let ok = Array.init vuniv (Tc.mem ~universe:vuniv con) in
+    fun v -> ok.(G.vtype g v)
   in
-  let step_edges_between (step : Physical.edge_step) u w =
+  (* a step's edge types, and whether it walks out of and into its bound
+     endpoint *)
+  let walks (step : Physical.edge_step) =
     let e = step.Physical.s_edge in
-    List.concat_map
-      (fun et ->
-        if e.Pattern.e_directed then
-          if step.Physical.s_forward then G.find_out_edges g ~src:u ~etype:et ~dst:w
-          else G.find_out_edges g ~src:w ~etype:et ~dst:u
-        else
-          G.find_out_edges g ~src:u ~etype:et ~dst:w
-          @ G.find_out_edges g ~src:w ~etype:et ~dst:u)
-      (etypes e.Pattern.e_con)
+    let fwd = step.Physical.s_forward in
+    ( Array.of_list (etypes e.Pattern.e_con),
+      (not e.Pattern.e_directed) || fwd,
+      (not e.Pattern.e_directed) || not fwd )
+  in
+  (* [step_adj step v f] calls [f eid other] for every edge of the step at
+     [v], in adjacency order per edge type *)
+  let step_adj step =
+    let ets, out, inn = walks step in
+    fun v f ->
+      for k = 0 to Array.length ets - 1 do
+        if out then G.iter_out_etype g v ets.(k) f;
+        if inn then G.iter_in_etype g v ets.(k) f
+      done
+  in
+  (* [step_edges_between step u w f] calls [f eid] for every edge of the
+     step from [u] to [w]: per edge type, a search in the sorted CSR slice *)
+  let step_edges_between step =
+    let ets, out, inn = walks step in
+    fun u w f ->
+      for k = 0 to Array.length ets - 1 do
+        if out then G.iter_out_edges_to g ~src:u ~etype:ets.(k) ~dst:w f;
+        if inn then G.iter_out_edges_to g ~src:w ~etype:ets.(k) ~dst:u f
+      done
   in
   let sorted_step_neighbors (step : Physical.edge_step) v =
     let e = step.Physical.s_edge in
@@ -234,6 +292,107 @@ let compile ctx frag consumer =
       mk_sink tr ~alive:down.k_alive ~close ~consume:(fun chunk ->
           on_chunk emit_chunk chunk)
     in
+    (* An expansion over columns (ExpandAll, ExpandInto, ExpandIntersect).
+       [walk chunk x commit] writes each output row's new ids into slot
+       [x.x_n] of [x.x_ids] and calls [commit i] with the input row [i] it
+       extends. Buffered rows leave as chunks gathered column by column,
+       each exactly [chunk_size] rows (a source's last chunk at close), so
+       a partial chunk carries over to the next input chunk. [pred] runs as
+       a kernel: over the new columns alone, before anything is gathered,
+       when it reads no input column; over each gathered chunk otherwise. *)
+    let expansion child_fields new_cols pred walk =
+      let new_fields = List.map fst new_cols in
+      let fields = child_fields @ new_fields in
+      let is_vertex = Array.of_list (List.map snd new_cols) in
+      let width = Array.length is_vertex in
+      let reads_input p =
+        List.exists (fun t -> List.mem t child_fields) (Expr.free_tags p)
+      in
+      let pre, post =
+        match pred with
+        | None -> (None, None)
+        | Some p when reads_input p -> (None, Some (Eval.compile g ~fields p))
+        | Some p -> (Some (Eval.compile g ~fields:new_fields p), None)
+      in
+      let _, emit_chunk, _ = emitter tr fields down in
+      let out = xbuf ~chunk_size width in
+      (* with a predicate over the new columns, rows are staged apart and
+         only its survivors reach [out] *)
+      let stage = if Option.is_none pre then out else xbuf ~chunk_size width in
+      let cur = ref (Batch.create child_fields) in
+      let carry = ref None in
+      let room () =
+        chunk_size - match !carry with None -> 0 | Some c -> Batch.n_rows c
+      in
+      let id_col c a = if is_vertex.(c) then Batch.D_vertex a else Batch.D_edge a in
+      (* gather [out]'s rows into a chunk and pass it on, or keep it as the
+         carry when it is short of [chunk_size] *)
+      let ship () =
+        let n = out.x_n in
+        out.x_n <- 0;
+        let chunk = !cur in
+        let cols =
+          Array.append
+            (Array.init (Batch.n_fields chunk) (fun j -> Batch.gather chunk j out.x_row n))
+            (Array.mapi (fun c a -> id_col c (Array.sub a 0 n)) out.x_ids)
+        in
+        let part = Batch.of_data fields n cols in
+        let part = match post with None -> part | Some k -> filter tr k part in
+        let m = Batch.n_rows part in
+        if m > 0 then
+          match !carry with
+          | None when m = chunk_size -> emit_chunk part
+          | None ->
+            carry := Some (if Batch.selection part = None then part else Batch.concat fields [ part ])
+          | Some c ->
+            Batch.append_batch c part;
+            if Batch.n_rows c = chunk_size then begin
+              carry := None;
+              emit_chunk c
+            end
+      in
+      let drain () =
+        match pre with
+        | None -> ()
+        | Some k ->
+          let n = stage.x_n in
+          stage.x_n <- 0;
+          if n > 0 then begin
+            let cand = Batch.of_data new_fields n (Array.mapi id_col stage.x_ids) in
+            Array.iter
+              (fun s ->
+                let o = out.x_n in
+                out.x_row.(o) <- stage.x_row.(s);
+                for c = 0 to width - 1 do
+                  out.x_ids.(c).(o) <- stage.x_ids.(c).(s)
+                done;
+                out.x_n <- o + 1;
+                if out.x_n >= room () then ship ())
+              (run_kern tr k cand)
+          end
+      in
+      let commit i =
+        stage.x_row.(stage.x_n) <- i;
+        stage.x_n <- stage.x_n + 1;
+        if stage == out then (if out.x_n >= room () then ship ())
+        else if stage.x_n = chunk_size then drain ()
+      in
+      let close () =
+        (match !carry with
+        | Some c ->
+          carry := None;
+          (try emit_chunk c with Stop -> ())
+        | None -> ());
+        down.k_close ()
+      in
+      mk_sink tr ~alive:down.k_alive ~close ~consume:(fun chunk ->
+          cur := chunk;
+          stage.x_n <- 0;
+          out.x_n <- 0;
+          walk chunk stage commit;
+          drain ();
+          if out.x_n > 0 then ship ())
+    in
     match step with
     | Probe table ->
       let buf = Breaker.Join.buffer ~chunk_size in
@@ -250,132 +409,125 @@ let compile ctx frag consumer =
               (Batch.project chunk (List.map (fun f -> (Batch.pos chunk f, f)) fields)))
     | Op (Physical.Expand_all (x, step)) ->
       let child_fields = Physical.output_fields x in
-      let e_alias = step.Physical.s_edge.Pattern.e_alias in
-      let fields = child_fields @ [ e_alias; step.Physical.s_to ] in
-      let layout = Batch.create fields in
-      let from_pos = Batch.pos layout step.Physical.s_from in
-      unary fields (fun emit row ->
-          let v = vertex_of row.(from_pos) in
-          iter_step_adj step v (fun eid other ->
-              st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
-              if vcheck step.Physical.s_to_con other then begin
-                let row' = Array.append row [| Rval.Redge eid; Rval.Rvertex other |] in
-                let lk = Eval.lookup_of_row layout row' in
-                let keep =
-                  (match step.Physical.s_edge.Pattern.e_pred with
-                  | None -> true
-                  | Some p -> Eval.is_true (Eval.eval g lk p))
-                  &&
-                  match step.Physical.s_to_pred with
-                  | None -> true
-                  | Some p -> Eval.is_true (Eval.eval g lk p)
-                in
-                if keep then emit row'
-              end))
+      let from_pos = Batch.pos (Batch.create child_fields) step.Physical.s_from in
+      let adj = step_adj step and to_ok = vcheck step.Physical.s_to_con in
+      let e = step.Physical.s_edge in
+      let pred = Expr.conj (List.filter_map Fun.id [ e.Pattern.e_pred; step.Physical.s_to_pred ]) in
+      expansion child_fields
+        [ (e.Pattern.e_alias, false); (step.Physical.s_to, true) ]
+        pred
+        (fun chunk x commit ->
+          let srcs = vertex_ids chunk from_pos in
+          let row = ref 0 in
+          let visit eid other =
+            tick ();
+            st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
+            if to_ok other then begin
+              x.x_ids.(0).(x.x_n) <- eid;
+              x.x_ids.(1).(x.x_n) <- other;
+              commit !row
+            end
+          in
+          for i = 0 to Array.length srcs - 1 do
+            row := i;
+            adj (source_vertex srcs i) visit
+          done)
     | Op (Physical.Expand_into (x, step)) ->
       let child_fields = Physical.output_fields x in
-      let e_alias = step.Physical.s_edge.Pattern.e_alias in
-      let fields = child_fields @ [ e_alias ] in
-      let layout = Batch.create fields in
+      let layout = Batch.create child_fields in
       let from_pos = Batch.pos layout step.Physical.s_from in
       let to_pos = Batch.pos layout step.Physical.s_to in
-      unary fields (fun emit row ->
-          tick ();
-          let u = vertex_of row.(from_pos) and w = vertex_of row.(to_pos) in
-          List.iter
-            (fun eid ->
-              st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
-              let row' = Array.append row [| Rval.Redge eid |] in
-              let lk = Eval.lookup_of_row layout row' in
-              let keep =
-                match step.Physical.s_edge.Pattern.e_pred with
-                | None -> true
-                | Some p -> Eval.is_true (Eval.eval g lk p)
-              in
-              if keep then emit row')
-            (step_edges_between step u w))
-    | Op (Physical.Expand_intersect (x, steps)) ->
+      let between = step_edges_between step in
+      let e = step.Physical.s_edge in
+      expansion child_fields [ (e.Pattern.e_alias, false) ] e.Pattern.e_pred
+        (fun chunk x commit ->
+          let us = vertex_ids chunk from_pos and ws = vertex_ids chunk to_pos in
+          for i = 0 to Array.length us - 1 do
+            tick ();
+            between (source_vertex us i) (source_vertex ws i) (fun eid ->
+                st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
+                x.x_ids.(0).(x.x_n) <- eid;
+                commit i)
+          done)
+    | Op (Physical.Expand_intersect (x, step_list)) ->
       let child_fields = Physical.output_fields x in
-      let to_alias = (List.hd steps).Physical.s_to in
-      let edge_aliases = List.map (fun s -> s.Physical.s_edge.Pattern.e_alias) steps in
-      let fields = child_fields @ edge_aliases @ [ to_alias ] in
-      let layout = Batch.create fields in
+      let head = List.hd step_list in
       let child_layout = Batch.create child_fields in
-      let from_pos = List.map (fun s -> Batch.pos child_layout s.Physical.s_from) steps in
-      let to_con = (List.hd steps).Physical.s_to_con in
-      let to_pred = (List.hd steps).Physical.s_to_pred in
-      (* hub vertices recur across rows: memoize their extracted adjacency *)
-      let nbr_cache : (int * int, int array) Hashtbl.t = Hashtbl.create 256 in
-      let step_neighbors idx step v =
-        match Hashtbl.find_opt nbr_cache (idx, v) with
+      let steps = Array.of_list step_list in
+      let k = Array.length steps in
+      let from_pos = Array.map (fun s -> Batch.pos child_layout s.Physical.s_from) steps in
+      let between = Array.map step_edges_between steps in
+      let to_ok = vcheck head.Physical.s_to_con in
+      let pred =
+        Expr.conj
+          (Option.to_list head.Physical.s_to_pred
+          @ List.filter_map (fun s -> s.Physical.s_edge.Pattern.e_pred) step_list)
+      in
+      (* hub vertices recur across rows: each step caches its anchors'
+         neighbour lists, keyed by anchor id *)
+      let cache = Array.init k (fun _ -> Int_tbl.create 256) in
+      let neighbours i v =
+        match Int_tbl.find_opt cache.(i) v with
         | Some a -> a
         | None ->
-          let a = sorted_step_neighbors step v in
+          let a = sorted_step_neighbors steps.(i) v in
           st.Op_trace.edges_touched <- st.Op_trace.edges_touched + Array.length a;
-          Hashtbl.add nbr_cache (idx, v) a;
+          Int_tbl.add cache.(i) v a;
           a
       in
-      unary fields (fun emit row ->
-          tick ();
-          let anchors = List.map (fun p -> vertex_of row.(p)) from_pos in
-          let nbr_arrays =
-            List.mapi (fun i (s, v) -> step_neighbors i s v) (List.combine steps anchors)
-          in
-          match nbr_arrays with
-          | [] -> ()
-          | _ ->
-            let first =
-              List.fold_left
-                (fun acc a -> if Array.length a < Array.length acc then a else acc)
-                (List.hd nbr_arrays) (List.tl nbr_arrays)
+      let anchors = Array.make k 0 and sets = Array.make k [||] in
+      (* per step, the parallel edges from its anchor to one candidate *)
+      let found = Array.init k (fun _ -> Vec.create ()) and combo = Array.make k 0 in
+      expansion child_fields
+        (List.map (fun s -> (s.Physical.s_edge.Pattern.e_alias, false)) step_list
+        @ [ (head.Physical.s_to, true) ])
+        pred
+        (fun chunk x commit ->
+          let cols = Array.map (vertex_ids chunk) from_pos in
+          for r = 0 to Batch.n_rows chunk - 1 do
+            tick ();
+            for i = 0 to k - 1 do
+              anchors.(i) <- source_vertex cols.(i) r;
+              sets.(i) <- neighbours i anchors.(i)
+            done;
+            (* the shortest list drives; the others are probed *)
+            let first = ref 0 in
+            for i = 1 to k - 1 do
+              if Array.length sets.(i) < Array.length sets.(!first) then first := i
+            done;
+            let first = !first in
+            let rec member c i =
+              i = k || ((i = first || nbr_mem sets.(i) c) && member c (i + 1))
             in
-            let rest = List.filter (fun a -> a != first) nbr_arrays in
+            (* one row per combination of parallel edges, the first step's
+               outermost *)
+            let rec combine c i =
+              if i = k then begin
+                for j = 0 to k - 1 do
+                  x.x_ids.(j).(x.x_n) <- combo.(j)
+                done;
+                x.x_ids.(k).(x.x_n) <- c;
+                commit r
+              end
+              else
+                Vec.iter
+                  (fun e ->
+                    combo.(i) <- e;
+                    combine c (i + 1))
+                  found.(i)
+            in
             Array.iter
               (fun c ->
                 tick ();
-                if
-                  List.for_all
-                    (fun arr ->
-                      let lo = ref 0 and hi = ref (Array.length arr) in
-                      while !lo < !hi do
-                        let mid = (!lo + !hi) / 2 in
-                        if arr.(mid) < c then lo := mid + 1 else hi := mid
-                      done;
-                      !lo < Array.length arr && arr.(!lo) = c)
-                    rest
-                  && vcheck to_con c
-                then begin
-                  let rec assemble acc_edges = function
-                    | [] ->
-                      let row' =
-                        Array.concat
-                          [
-                            row;
-                            Array.of_list (List.rev_map (fun e -> Rval.Redge e) acc_edges);
-                            [| Rval.Rvertex c |];
-                          ]
-                      in
-                      let lk = Eval.lookup_of_row layout row' in
-                      let keep =
-                        (match to_pred with
-                        | None -> true
-                        | Some p -> Eval.is_true (Eval.eval g lk p))
-                        && List.for_all
-                             (fun (s : Physical.edge_step) ->
-                               match s.Physical.s_edge.Pattern.e_pred with
-                               | None -> true
-                               | Some p -> Eval.is_true (Eval.eval g lk p))
-                             steps
-                      in
-                      if keep then emit row'
-                    | (s, v) :: more ->
-                      List.iter
-                        (fun eid -> assemble (eid :: acc_edges) more)
-                        (step_edges_between s v c)
-                  in
-                  assemble [] (List.combine steps anchors)
+                if member c 0 && to_ok c then begin
+                  for i = 0 to k - 1 do
+                    Vec.clear found.(i);
+                    between.(i) anchors.(i) c (Vec.push found.(i))
+                  done;
+                  combine c 0
                 end)
-              first)
+              sets.(first)
+          done)
     | Op (Physical.Path_expand (x, step)) ->
       let child_fields = Physical.output_fields x in
       let lo, hi =
@@ -393,6 +545,7 @@ let compile ctx frag consumer =
       let layout = Batch.create fields in
       let from_pos = Batch.pos layout step.Physical.s_from in
       let to_pos = if bound_mode then Some (Batch.pos layout step.Physical.s_to) else None in
+      let adj = step_adj step and to_ok = vcheck step.Physical.s_to_con in
       unary fields (fun emit row ->
           let v0 = vertex_of row.(from_pos) in
           let target = Option.map (fun p -> vertex_of row.(p)) to_pos in
@@ -400,7 +553,7 @@ let compile ctx frag consumer =
             tick ();
             if depth >= lo && depth <= hi then begin
               let ok_endpoint =
-                match target with Some t -> t = v | None -> vcheck step.Physical.s_to_con v
+                match target with Some t -> t = v | None -> to_ok v
               in
               if ok_endpoint then begin
                 let path =
@@ -420,7 +573,8 @@ let compile ctx frag consumer =
               end
             end;
             if depth < hi then
-              iter_step_adj step v (fun eid other ->
+              adj v (fun eid other ->
+                  tick ();
                   st.Op_trace.edges_touched <- st.Op_trace.edges_touched + 1;
                   let ok =
                     match sem with

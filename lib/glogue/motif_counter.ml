@@ -108,9 +108,7 @@ let count_homomorphisms g p =
           List.iter
             (fun et ->
               let iter = if out then G.iter_out_etype else G.iter_in_etype in
-              iter g u_data et (fun eid ->
-                  let c = if out then G.edst g eid else G.esrc g eid in
-                  try_candidate c 1.0 (Some anchor_ei)))
+              iter g u_data et (fun _ c -> try_candidate c 1.0 (Some anchor_ei)))
             (Tc.to_list ~universe:euniv e.Pattern.e_con)
         in
         if e.Pattern.e_directed then
@@ -197,7 +195,7 @@ let triangle_count g ~ab:(et_ab, fwd_ab) ~bc:(et_bc, fwd_bc) ~ac:(et_ac, fwd_ac)
   in
   Array.iter
     (fun a ->
-      if fwd_ab then G.iter_out_etype g a et_ab (fun eid -> process a (G.edst g eid))
-      else G.iter_in_etype g a et_ab (fun eid -> process a (G.esrc g eid)))
+      let iter = if fwd_ab then G.iter_out_etype else G.iter_in_etype in
+      iter g a et_ab (fun _ b -> process a b))
     (G.vertices_of_vtype g ta);
   !total

@@ -30,8 +30,10 @@ let edst t e = t.edst.(e)
 
 let out_degree t v = t.out_off.(v + 1) - t.out_off.(v)
 
-(* First index in [lo,hi) whose etype is >= et (adjacency sorted by etype). *)
-let lower_bound_et ets lo hi et =
+(* First index in [lo,hi) whose etype is >= et (adjacency sorted by etype).
+   The int annotations here and below keep comparisons off polymorphic
+   compare. *)
+let lower_bound_et (ets : int array) lo hi (et : int) =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -63,17 +65,17 @@ let iter_in t v f =
     f t.in_eid.(i)
   done
 
-let iter_out_etype t v et f =
-  let a, b = etype_range t.out_off t.out_et v et in
-  for i = a to b - 1 do
-    f t.out_eid.(i)
+(* one search for the start of the etype run, then a walk to its end *)
+let iter_etype_nbr off (ets : int array) eids nbrs v (et : int) f =
+  let hi = off.(v + 1) in
+  let i = ref (lower_bound_et ets off.(v) hi et) in
+  while !i < hi && ets.(!i) = et do
+    f eids.(!i) nbrs.(!i);
+    incr i
   done
 
-let iter_in_etype t v et f =
-  let a, b = etype_range t.in_off t.in_et v et in
-  for i = a to b - 1 do
-    f t.in_eid.(i)
-  done
+let iter_out_etype t v et f = iter_etype_nbr t.out_off t.out_et t.out_eid t.out_dst v et f
+let iter_in_etype t v et f = iter_etype_nbr t.in_off t.in_et t.in_eid t.in_src v et f
 
 let out_neighbors_etype t v et =
   let a, b = etype_range t.out_off t.out_et v et in
@@ -85,7 +87,7 @@ let in_neighbors_etype t v et =
 
 (* Within the etype range the neighbour column is sorted, so membership is a
    binary search. *)
-let search_nbr nbrs lo hi x =
+let search_nbr (nbrs : int array) lo hi (x : int) =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -98,14 +100,17 @@ let has_out_edge t ~src ~etype ~dst =
   let i = search_nbr t.out_dst a b dst in
   i < b && t.out_dst.(i) = dst
 
-let find_out_edges t ~src ~etype ~dst =
+let iter_out_edges_to t ~src ~etype ~dst f =
   let a, b = etype_range t.out_off t.out_et src etype in
   let i = ref (search_nbr t.out_dst a b dst) in
-  let acc = ref [] in
   while !i < b && t.out_dst.(!i) = dst do
-    acc := t.out_eid.(!i) :: !acc;
+    f t.out_eid.(!i);
     incr i
-  done;
+  done
+
+let find_out_edges t ~src ~etype ~dst =
+  let acc = ref [] in
+  iter_out_edges_to t ~src ~etype ~dst (fun e -> acc := e :: !acc);
   List.rev !acc
 
 let vertices_of_vtype t vt = t.vertices_by_type.(vt)

@@ -70,10 +70,13 @@ val iter_out : t -> int -> (int -> unit) -> unit
 
 val iter_in : t -> int -> (int -> unit) -> unit
 
-val iter_out_etype : t -> int -> int -> (int -> unit) -> unit
-(** [iter_out_etype g v et f] restricts {!iter_out} to edges of type [et]. *)
+val iter_out_etype : t -> int -> int -> (int -> int -> unit) -> unit
+(** [iter_out_etype g v et f] calls [f eid dst] for every outgoing
+    [et]-edge of [v], in adjacency order (by destination, then edge id):
+    the edge and its other endpoint come from one CSR slot. *)
 
-val iter_in_etype : t -> int -> int -> (int -> unit) -> unit
+val iter_in_etype : t -> int -> int -> (int -> int -> unit) -> unit
+(** Incoming analogue of {!iter_out_etype}: [f eid src]. *)
 
 val out_neighbors_etype : t -> int -> int -> int array
 (** [out_neighbors_etype g v et] is the sorted array of destination vertices
@@ -85,8 +88,13 @@ val in_neighbors_etype : t -> int -> int -> int array
 val has_out_edge : t -> src:int -> etype:int -> dst:int -> bool
 (** Sorted-adjacency membership test, O(log degree). *)
 
+val iter_out_edges_to : t -> src:int -> etype:int -> dst:int -> (int -> unit) -> unit
+(** [iter_out_edges_to g ~src ~etype ~dst f] calls [f eid] for every
+    parallel [etype]-edge from [src] to [dst], in edge-id order: a binary
+    search in [src]'s sorted etype slice, no list built. *)
+
 val find_out_edges : t -> src:int -> etype:int -> dst:int -> int list
-(** All parallel [etype]-edges from [src] to [dst]. *)
+(** All parallel [etype]-edges from [src] to [dst], in edge-id order. *)
 
 (** {1 Type-indexed access and statistics} *)
 

@@ -658,6 +658,212 @@ let prop_join_table =
       && (not !oversized)
       && List.equal (List.equal Rval.equal) (List.rev !expected) (List.rev !out))
 
+(* --- column expansion ------------------------------------------------------ *)
+
+module Operator = Gopt_exec.Operator
+module Op_trace = Gopt_exec.Op_trace
+
+(* persons p0..p44 (vertex i is p<i>); KNOWS p0 -> p1..p40 and p41 ->
+   p5..p44, [since] 1990 + dst mod 5: adjacency long enough to span several
+   small chunks and to give the intersection long neighbour lists *)
+let hub_graph =
+  let b = G.Builder.create schema in
+  let p =
+    Array.init 45 (fun i ->
+        G.Builder.add_vertex b ~vtype:person
+          [ ("name", Value.Str (Printf.sprintf "p%d" i)); ("age", Value.Int (20 + (i mod 7))) ])
+  in
+  let knows_edge s d =
+    ignore
+      (G.Builder.add_edge b ~src:p.(s) ~dst:p.(d) ~etype:knows
+         [ ("since", Value.Int (1990 + (d mod 5))) ])
+  in
+  for d = 1 to 40 do
+    knows_edge 0 d
+  done;
+  for d = 5 to 44 do
+    knows_edge 41 d
+  done;
+  G.Builder.freeze b
+
+let person_scan alias = Physical.Scan { alias; con = Tc.Basic person; pred = None }
+
+let knows_step ?e_pred ?to_pred ?(directed = true) ~from ~to_ alias =
+  {
+    Physical.s_edge =
+      Pattern.mk_edge ?pred:e_pred ~directed ~alias ~src:0 ~dst:1 (Tc.Basic knows);
+    s_from = from;
+    s_to = to_;
+    s_forward = true;
+    s_to_con = Tc.Basic person;
+    s_to_pred = to_pred;
+  }
+
+(* the chunks a fragment of streaming operators [ops] (bottom-up) emits for
+   one [input] source *)
+let fragment_chunks ?(chunk_size = 1024) g ops input =
+  let chunks = ref [] in
+  let consumer =
+    {
+      Operator.k_consume = (fun b -> chunks := b :: !chunks);
+      k_close = ignore;
+      k_alive = (fun () -> true);
+    }
+  in
+  let ctx =
+    {
+      Operator.g;
+      profile = Engine.graphscope_profile;
+      chunk_size;
+      stats = Op_trace.fresh_stats ();
+      clock = Op_trace.clock ();
+      check = ignore;
+      ticks = 0;
+    }
+  in
+  let steps = List.map (fun op -> (Operator.Op op, Op_trace.make (Physical.node_label op) [])) ops in
+  Operator.compile ctx { Operator.leaf = None; steps } consumer (Operator.Rows input);
+  List.rev !chunks
+
+let rows_of chunks =
+  List.concat_map (fun b -> List.init (Batch.n_rows b) (fun i -> Array.to_list (Batch.row b i))) chunks
+
+let same_rows = List.equal (List.equal Rval.equal)
+
+let check_rows msg expected actual =
+  Alcotest.(check int) (msg ^ ": row count") (List.length expected) (List.length actual);
+  Alcotest.(check bool) (msg ^ ": same rows in the same order") true (same_rows expected actual)
+
+let expand_from_a = Physical.Expand_all (person_scan "a", knows_step ~from:"a" ~to_:"b" "e")
+let p0_source = Batch.of_vertex_ids "a" [| 0 |] ~pos:0 ~len:1
+
+(* one vertex whose expansion is larger than the chunk: the output is cut
+   into chunks of at most [chunk_size] rows, never empty, and in the same
+   row order as one big chunk *)
+let test_expand_chunking () =
+  let small = fragment_chunks ~chunk_size:3 hub_graph [ expand_from_a ] p0_source in
+  let big = fragment_chunks hub_graph [ expand_from_a ] p0_source in
+  List.iter
+    (fun b ->
+      let n = Batch.n_rows b in
+      Alcotest.(check bool) (Printf.sprintf "chunk of %d rows within 1..3" n) true (n >= 1 && n <= 3))
+    small;
+  Alcotest.(check int) "one chunk at 1024" 1 (List.length big);
+  check_rows "chunk_size 3 vs 1024" (rows_of big) (rows_of small);
+  Alcotest.(check int) "p0's 40 KNOWS edges" 40 (List.length (rows_of small));
+  (* a second expansion fed 3-row chunks carries its partial output over to
+     the next input chunk: every chunk but the last is full *)
+  let chain = [ expand_from_a; Physical.Expand_all (expand_from_a, knows_step ~directed:false ~from:"b" ~to_:"c" "f") ] in
+  let small = fragment_chunks ~chunk_size:3 hub_graph chain p0_source in
+  let big = fragment_chunks hub_graph chain p0_source in
+  check_rows "chained expansions, chunk_size 3 vs 1024" (rows_of big) (rows_of small);
+  List.iteri
+    (fun i b ->
+      if i < List.length small - 1 then
+        Alcotest.(check int) (Printf.sprintf "chunk %d is full" i) 3 (Batch.n_rows b))
+    small
+
+(* LIMIT over an expansion far larger than it stops after one chunk *)
+let test_expand_limit () =
+  let limited = Physical.Limit (expand_from_a, 5) in
+  let b_pipe, s_pipe = Engine.run ~chunk_size:8 hub_graph limited in
+  let b_mat, s_mat = Engine.run_materialized hub_graph limited in
+  check_rows "first five rows" (rows_of [ b_mat ]) (rows_of [ b_pipe ]);
+  Alcotest.(check int) "5 rows" 5 (Batch.n_rows b_pipe);
+  Alcotest.(check int) "materialized expands all 80 edges" 80 s_mat.Engine.edges_touched;
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped after one 8-row chunk (%d edges touched)" s_pipe.Engine.edges_touched)
+    true
+    (s_pipe.Engine.edges_touched <= 8)
+
+let check_differential msg g plan expected =
+  let b_pipe, _ = Engine.run g plan in
+  let b_small, _ = Engine.run ~chunk_size:3 g plan in
+  let b_mat, _ = Engine.run_materialized g plan in
+  Alcotest.(check int) (msg ^ ": rows") expected (Batch.n_rows b_pipe);
+  check_rows (msg ^ ": chunk_size 3") (rows_of [ b_pipe ]) (rows_of [ b_small ]);
+  Alcotest.(check bool) (msg ^ ": materialized agrees") true
+    (List.equal (List.equal Rval.equal) (canon_rows b_pipe) (canon_rows b_mat));
+  b_pipe
+
+(* parallel edges: ExpandInto and ExpandIntersect give one row per edge
+   combination, the first step's edges outermost *)
+let test_expand_parallel_edges () =
+  (* the parallel-edges graph: two KNOWS edges p0 -> p1 (edge ids 0, 1) *)
+  let b = G.Builder.create schema in
+  let p0 = G.Builder.add_vertex b ~vtype:person [] in
+  let p1 = G.Builder.add_vertex b ~vtype:person [] in
+  ignore (G.Builder.add_edge b ~src:p0 ~dst:p1 ~etype:knows []);
+  ignore (G.Builder.add_edge b ~src:p0 ~dst:p1 ~etype:knows []);
+  let g2 = G.Builder.freeze b in
+  let pairs =
+    Physical.Hash_join
+      { left = person_scan "a"; right = person_scan "b"; keys = []; kind = Logical.Inner }
+  in
+  ignore
+    (check_differential "ExpandInto" g2
+       (Physical.Expand_into (pairs, knows_step ~from:"a" ~to_:"b" "e"))
+       2);
+  (* a = b = p0 is the one row whose two steps both reach c = p1 *)
+  let intersect =
+    Physical.Expand_intersect
+      (pairs, [ knows_step ~from:"a" ~to_:"c" "e1"; knows_step ~from:"b" ~to_:"c" "e2" ])
+  in
+  let out = check_differential "ExpandIntersect" g2 intersect 4 in
+  let edges f =
+    List.init (Batch.n_rows out) (fun i ->
+        match Batch.get out i (Batch.pos out f) with Rval.Redge e -> e | _ -> -1)
+  in
+  Alcotest.(check (list int)) "e1 outermost" [ 0; 0; 1; 1 ] (edges "e1");
+  Alcotest.(check (list int)) "e2 innermost" [ 0; 1; 0; 1 ] (edges "e2")
+
+(* long neighbour lists: p0 and p41 share p5..p40 *)
+let test_expand_intersect_long_lists () =
+  let pairs =
+    Physical.Hash_join
+      { left = person_scan "a"; right = person_scan "b"; keys = []; kind = Logical.Inner }
+  in
+  let intersect =
+    Physical.Expand_intersect
+      (pairs, [ knows_step ~from:"a" ~to_:"c" "e1"; knows_step ~from:"b" ~to_:"c" "e2" ])
+  in
+  (* (p0,p0) and (p41,p41): 40 each; (p0,p41) and (p41,p0): 36 each *)
+  ignore (check_differential "long lists" hub_graph intersect 152)
+
+(* one step with both an edge and a target predicate, run before gathering;
+   and a target predicate that reads an input column, run on the gathered
+   chunk *)
+let test_expand_predicates () =
+  let since = Expr.Binop (Expr.Geq, Expr.Prop ("e", "since"), Expr.Const (Value.Int 1993)) in
+  let age = Expr.Binop (Expr.Gt, Expr.Prop ("b", "age"), Expr.Const (Value.Int 22)) in
+  let both = Physical.Expand_all (person_scan "a", knows_step ~e_pred:since ~to_pred:age ~from:"a" ~to_:"b" "e") in
+  let keep d = d mod 5 >= 3 && d mod 7 >= 3 in
+  let count lo hi = List.length (List.filter keep (List.init (hi - lo + 1) (fun i -> lo + i))) in
+  ignore (check_differential "edge and target predicates" hub_graph both (count 1 40 + count 5 44));
+  let older = Expr.Binop (Expr.Gt, Expr.Prop ("b", "age"), Expr.Prop ("a", "age")) in
+  let cross = Physical.Expand_all (person_scan "a", knows_step ~to_pred:older ~from:"a" ~to_:"b" "e") in
+  (* p0 is 20, p41 is 26 *)
+  let older_than age lo hi =
+    List.length (List.filter (fun d -> 20 + (d mod 7) > age) (List.init (hi - lo + 1) (fun i -> lo + i)))
+  in
+  ignore (check_differential "predicate over an input column" hub_graph cross (older_than 20 1 40 + older_than 26 5 44))
+
+(* a source column promoted to boxed (an Rnull written first) expands like
+   the dense one; its null row is rejected when expanded *)
+let test_expand_boxed_source () =
+  let boxed = Batch.create [ "a" ] in
+  Batch.add boxed [| Rval.Rnull |];
+  Batch.add boxed [| Rval.Rvertex 0 |];
+  (match Batch.col boxed 0 with
+  | Batch.D_boxed _ -> ()
+  | _ -> Alcotest.fail "the column should be boxed");
+  check_rows "boxed source vs dense"
+    (rows_of (fragment_chunks hub_graph [ expand_from_a ] p0_source))
+    (rows_of (fragment_chunks hub_graph [ expand_from_a ] (Batch.sub boxed ~pos:1 ~len:1)));
+  match fragment_chunks hub_graph [ expand_from_a ] boxed with
+  | _ -> Alcotest.fail "a null source row expanded"
+  | exception Invalid_argument _ -> ()
+
 (* a chunk size below 1 is rejected up front, naming the value *)
 let test_chunk_size_checked () =
   let scan = Physical.Scan { alias = "a"; con = Tc.Basic person; pred = None } in
@@ -713,6 +919,15 @@ let () =
           Alcotest.test_case "workload differential" `Quick test_differential_workloads;
           Alcotest.test_case "chunk-size neutrality" `Quick test_chunk_size_neutral;
           Alcotest.test_case "limit short-circuit" `Quick test_limit_short_circuit;
+        ] );
+      ( "column expansion",
+        [
+          Alcotest.test_case "chunks at most chunk_size" `Quick test_expand_chunking;
+          Alcotest.test_case "limit stops early" `Quick test_expand_limit;
+          Alcotest.test_case "parallel edges" `Quick test_expand_parallel_edges;
+          Alcotest.test_case "intersect long lists" `Quick test_expand_intersect_long_lists;
+          Alcotest.test_case "edge and target predicates" `Quick test_expand_predicates;
+          Alcotest.test_case "boxed source column" `Quick test_expand_boxed_source;
         ] );
       ( "properties",
         [
