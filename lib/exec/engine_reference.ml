@@ -34,13 +34,13 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
       | Some b when Sys.time () -. start > b -> raise Op_trace.Timeout
       | _ -> ()
   in
-  let record batch =
+  let record ?(comm = true) batch =
     stats.Op_trace.operators <- stats.Op_trace.operators + 1;
     let n = Batch.n_rows batch in
     stats.Op_trace.intermediate_rows <- stats.Op_trace.intermediate_rows + n;
     stats.Op_trace.intermediate_cells <-
       stats.Op_trace.intermediate_cells + (n * Batch.n_fields batch);
-    if profile.Op_trace.count_comm then begin
+    if comm && profile.Op_trace.count_comm then begin
       stats.Op_trace.comm_rows <- stats.Op_trace.comm_rows + n;
       stats.Op_trace.comm_cells <- stats.Op_trace.comm_cells + (n * Batch.n_fields batch)
     end;
@@ -437,7 +437,14 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget g plan =
           Batch.add out
             (Array.of_list (List.map (fun (e, _) -> Eval.eval_rval g lk e) ps)))
         input;
-      let r = record out in
+      (* a column swap (every item a bound [Var]) ships nothing, as in
+         [Operator] *)
+      let swap =
+        List.for_all
+          (function Gopt_pattern.Expr.Var t, _ -> Batch.pos_opt input t <> None | _ -> false)
+          ps
+      in
+      let r = record ~comm:(not swap) out in
       release common input;
       r
     | Physical.Group (x, ks, aggs) ->

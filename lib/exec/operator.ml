@@ -174,7 +174,7 @@ let compile ctx frag consumer =
   (* chunked output buffer: counts emissions into the trace and the engine
      stats, flushes full chunks downstream, and raises Stop when the
      downstream chain no longer wants rows *)
-  let emitter tr fields sink =
+  let emitter ?(profile = ctx.profile) tr fields sink =
     let buf = ref (Batch.create fields) in
     let width = List.length fields in
     let flush () =
@@ -186,7 +186,7 @@ let compile ctx frag consumer =
     in
     let account n =
       tr.Op_trace.rows_out <- tr.Op_trace.rows_out + n;
-      Op_trace.count_rows ctx.profile st ~width n
+      Op_trace.count_rows profile st ~width n
     in
     let emit row =
       Batch.add !buf row;
@@ -287,8 +287,8 @@ let compile ctx frag consumer =
           Batch.iter (fun row -> on_row emit row) chunk)
     in
     (* per-chunk body emitting whole chunks *)
-    let chunked fields on_chunk =
-      let _, emit_chunk, close = emitter tr fields down in
+    let chunked ?profile fields on_chunk =
+      let _, emit_chunk, close = emitter ?profile tr fields down in
       mk_sink tr ~alive:down.k_alive ~close ~consume:(fun chunk ->
           on_chunk emit_chunk chunk)
     in
@@ -599,7 +599,8 @@ let compile ctx frag consumer =
       let fields = List.map snd ps in
       (* when every projection is a bound [Var], the whole operator is a
          column swap: the output chunk shares the input's columns and
-         selection vector *)
+         selection vector, so it copies and ships nothing and is charged
+         no communication *)
       let var_positions =
         let rec go acc = function
           | [] -> Some (List.rev acc)
@@ -614,7 +615,7 @@ let compile ctx frag consumer =
       in
       match var_positions with
       | Some pairs ->
-        chunked fields (fun emit_chunk chunk ->
+        chunked ~profile:{ Op_trace.count_comm = false } fields (fun emit_chunk chunk ->
             let n = Batch.n_rows chunk in
             tick_n ctx n;
             let t0 = Sys.time () in

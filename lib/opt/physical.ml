@@ -33,71 +33,76 @@ type t =
   | Common_ref of string list
   | Empty of string list
 
+(* field lists are short: a list scan beats building a table per call *)
 let dedup_keep_order l =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun x ->
-      if Hashtbl.mem seen x then false
-      else begin
-        Hashtbl.add seen x ();
-        true
-      end)
-    l
+  let rec go seen = function
+    | [] -> []
+    | x :: rest -> if List.mem x seen then go seen rest else x :: go (x :: seen) rest
+  in
+  go [] l
 
-let rec output_fields = function
-  | Scan { alias; _ } -> [ alias ]
-  | Expand_all (x, s) ->
-    dedup_keep_order (output_fields x @ [ s.s_edge.Pattern.e_alias; s.s_to ])
-  | Expand_into (x, s) -> dedup_keep_order (output_fields x @ [ s.s_edge.Pattern.e_alias ])
-  | Expand_intersect (x, steps) ->
-    dedup_keep_order
-      (output_fields x
-      @ List.concat_map (fun s -> [ s.s_edge.Pattern.e_alias ]) steps
-      @ match steps with [] -> [] | s :: _ -> [ s.s_to ])
-  | Path_expand (x, s) ->
-    dedup_keep_order (output_fields x @ [ s.s_edge.Pattern.e_alias; s.s_to ])
-  | Hash_join { left; right; kind; _ } -> begin
-    match kind with
-    | Logical.Semi | Logical.Anti -> output_fields left
-    | Logical.Inner | Logical.Left_outer ->
-      dedup_keep_order (output_fields left @ output_fields right)
-  end
-  | Select (x, _) | Limit (x, _) | Skip (x, _) | Dedup (x, _) | All_distinct (x, _)
-  | Order (x, _, _) ->
-    output_fields x
-  | Unfold (x, _, alias) -> dedup_keep_order (output_fields x @ [ alias ])
-  | Project (_, ps) -> List.map snd ps
-  | Group (_, ks, aggs) -> List.map snd ks @ List.map (fun a -> a.Logical.agg_alias) aggs
-  | Union (a, _) -> output_fields a
-  | With_common { left; right; combine; _ } -> begin
-    match combine with
-    | Logical.C_union -> output_fields left
-    | Logical.C_join (_, (Logical.Semi | Logical.Anti)) -> output_fields left
-    | Logical.C_join (_, _) -> dedup_keep_order (output_fields left @ output_fields right)
-  end
-  | Common_ref fields -> fields
-  | Empty fields -> fields
-
-let rec operator_count = function
-  | Scan _ | Common_ref _ | Empty _ -> 1
+let children = function
+  | Scan _ | Common_ref _ | Empty _ -> []
   | Expand_all (x, _) | Expand_into (x, _) | Expand_intersect (x, _) | Path_expand (x, _)
   | Select (x, _) | Project (x, _) | Group (x, _, _) | Order (x, _, _) | Limit (x, _)
-  | Skip (x, _) | Unfold (x, _, _) | Dedup (x, _) | All_distinct (x, _) -> 1 + operator_count x
-  | Hash_join { left; right; _ } | Union (left, right) ->
-    1 + operator_count left + operator_count right
-  | With_common { common; left; right; _ } ->
-    1 + operator_count common + operator_count left + operator_count right
+  | Skip (x, _) | Unfold (x, _, _) | Dedup (x, _) | All_distinct (x, _) -> [ x ]
+  | Hash_join { left; right; _ } | Union (left, right) -> [ left; right ]
+  | With_common { common; left; right; _ } -> [ common; left; right ]
+
+let with_children node kids =
+  match node, kids with
+  | (Scan _ | Common_ref _ | Empty _), [] -> node
+  | Expand_all (_, s), [ x ] -> Expand_all (x, s)
+  | Expand_into (_, s), [ x ] -> Expand_into (x, s)
+  | Expand_intersect (_, ss), [ x ] -> Expand_intersect (x, ss)
+  | Path_expand (_, s), [ x ] -> Path_expand (x, s)
+  | Select (_, e), [ x ] -> Select (x, e)
+  | Project (_, ps), [ x ] -> Project (x, ps)
+  | Group (_, ks, aggs), [ x ] -> Group (x, ks, aggs)
+  | Order (_, ks, lim), [ x ] -> Order (x, ks, lim)
+  | Limit (_, n), [ x ] -> Limit (x, n)
+  | Skip (_, n), [ x ] -> Skip (x, n)
+  | Unfold (_, e, a), [ x ] -> Unfold (x, e, a)
+  | Dedup (_, tags), [ x ] -> Dedup (x, tags)
+  | All_distinct (_, tags), [ x ] -> All_distinct (x, tags)
+  | Hash_join j, [ left; right ] -> Hash_join { j with left; right }
+  | Union _, [ a; b ] -> Union (a, b)
+  | With_common w, [ common; left; right ] -> With_common { w with common; left; right }
+  | _ -> invalid_arg "Physical.with_children: wrong number of children"
+
+let node_fields node kids =
+  match node, kids with
+  | Scan { alias; _ }, _ -> [ alias ]
+  | (Expand_all (_, s) | Path_expand (_, s)), [ x ] ->
+    dedup_keep_order (x @ [ s.s_edge.Pattern.e_alias; s.s_to ])
+  | Expand_into (_, s), [ x ] -> dedup_keep_order (x @ [ s.s_edge.Pattern.e_alias ])
+  | Expand_intersect (_, steps), [ x ] ->
+    dedup_keep_order
+      (x
+      @ List.map (fun s -> s.s_edge.Pattern.e_alias) steps
+      @ match steps with [] -> [] | s :: _ -> [ s.s_to ])
+  | Hash_join { kind = Logical.Semi | Logical.Anti; _ }, [ l; _ ] -> l
+  | Hash_join _, [ l; r ] -> dedup_keep_order (l @ r)
+  | (Select _ | Limit _ | Skip _ | Dedup _ | All_distinct _ | Order _), [ x ] -> x
+  | Unfold (_, _, alias), [ x ] -> dedup_keep_order (x @ [ alias ])
+  | Project (_, ps), _ -> List.map snd ps
+  | Group (_, ks, aggs), _ -> List.map snd ks @ List.map (fun a -> a.Logical.agg_alias) aggs
+  | Union _, a :: _ -> a
+  | With_common { combine = Logical.C_union | Logical.C_join (_, (Logical.Semi | Logical.Anti)); _ },
+    [ _; l; _ ] ->
+    l
+  | With_common _, [ _; l; r ] -> dedup_keep_order (l @ r)
+  | (Common_ref fields | Empty fields), _ -> fields
+  | _ -> invalid_arg "Physical.node_fields: wrong number of children"
+
+let rec output_fields node = node_fields node (List.map output_fields (children node))
+
+let rec operator_count node =
+  List.fold_left (fun n x -> n + operator_count x) 1 (children node)
 
 let rec uses_intersect = function
   | Expand_intersect _ -> true
-  | Scan _ | Common_ref _ | Empty _ -> false
-  | Expand_all (x, _) | Expand_into (x, _) | Path_expand (x, _) | Select (x, _)
-  | Project (x, _) | Group (x, _, _) | Order (x, _, _) | Limit (x, _) | Skip (x, _)
-  | Unfold (x, _, _) | Dedup (x, _) | All_distinct (x, _) -> uses_intersect x
-  | Hash_join { left; right; _ } | Union (left, right) ->
-    uses_intersect left || uses_intersect right
-  | With_common { common; left; right; _ } ->
-    uses_intersect common || uses_intersect left || uses_intersect right
+  | node -> List.exists uses_intersect (children node)
 
 (* --- expression positions (query parameters) ------------------------------ *)
 
@@ -203,17 +208,10 @@ let pipeline_role = function
 let is_pipeline_breaker plan = pipeline_role plan = Breaker
 
 let rec breaker_count plan =
-  let self = if is_pipeline_breaker plan then 1 else 0 in
-  match plan with
-  | Scan _ | Common_ref _ | Empty _ -> self
-  | Expand_all (x, _) | Expand_into (x, _) | Expand_intersect (x, _) | Path_expand (x, _)
-  | Select (x, _) | Project (x, _) | Group (x, _, _) | Order (x, _, _) | Limit (x, _)
-  | Skip (x, _) | Unfold (x, _, _) | Dedup (x, _) | All_distinct (x, _) ->
-    self + breaker_count x
-  | Hash_join { left; right; _ } | Union (left, right) ->
-    self + breaker_count left + breaker_count right
-  | With_common { common; left; right; _ } ->
-    self + breaker_count common + breaker_count left + breaker_count right
+  List.fold_left
+    (fun n x -> n + breaker_count x)
+    (if is_pipeline_breaker plan then 1 else 0)
+    (children plan)
 
 (* --- rendering ------------------------------------------------------------ *)
 
@@ -280,19 +278,7 @@ let node_label ?schema plan =
 let pp ?schema ppf plan =
   let rec go indent plan =
     Format.fprintf ppf "%s%s@," (String.make (2 * indent) ' ') (node_label ?schema plan);
-    match plan with
-    | Scan _ | Common_ref _ | Empty _ -> ()
-    | Expand_all (x, _) | Expand_into (x, _) | Expand_intersect (x, _) | Path_expand (x, _)
-    | Select (x, _) | Project (x, _) | Group (x, _, _) | Order (x, _, _) | Limit (x, _)
-    | Skip (x, _) | Unfold (x, _, _) | Dedup (x, _) | All_distinct (x, _) ->
-      go (indent + 1) x
-    | Hash_join { left; right; _ } | Union (left, right) ->
-      go (indent + 1) left;
-      go (indent + 1) right
-    | With_common { common; left; right; _ } ->
-      go (indent + 1) common;
-      go (indent + 1) left;
-      go (indent + 1) right
+    List.iter (go (indent + 1)) (children plan)
   in
   Format.fprintf ppf "@[<v>";
   go 0 plan;

@@ -68,6 +68,19 @@ type t =
 val output_fields : t -> string list
 (** Visible fields, mirroring {!Gopt_gir.Logical.output_fields}. *)
 
+val children : t -> t list
+(** Direct inputs in plan order: a join's or union's left before its right,
+    a [With_common]'s common sub-plan before its branches. *)
+
+val with_children : t -> t list -> t
+(** [with_children node kids] is [node] over new direct inputs, given in
+    {!children} order. Raises [Invalid_argument] on a count mismatch. *)
+
+val node_fields : t -> string list list -> string list
+(** [node_fields node kid_fields] is {!output_fields} of [node] given the
+    output fields of its children (in {!children} order), without
+    recursing — for passes that compute every node's fields once. *)
+
 val map_exprs : (Gopt_pattern.Expr.t -> Gopt_pattern.Expr.t) -> t -> t
 (** Rewrite every expression position in the plan: scan and expansion
     predicates, selections, projections, group keys and aggregate arguments,

@@ -270,16 +270,13 @@ let infer_pass schema plan =
   let plan' = go plan in
   (plan', !invalid)
 
-let edge_aliases_below plan =
+let patterns_below plan =
   Logical.fold
     (fun acc node ->
       match node with
-      | Logical.Match p | Logical.Pattern_cont (_, p) ->
-        Array.fold_left
-          (fun acc (e : Pattern.edge) -> SS.add e.Pattern.e_alias acc)
-          acc (Pattern.edges p)
+      | Logical.Match p | Logical.Pattern_cont (_, p) -> p :: acc
       | _ -> acc)
-    SS.empty plan
+    [] plan
 
 let plan config gq logical =
   let schema =
@@ -375,16 +372,31 @@ let plan config gq logical =
     | Logical.Union (a, b) -> Physical.Union (to_phys_c a, to_phys_c b)
     | Logical.All_distinct (x, tags) ->
       let phys = to_phys_c x in
+      let patterns = patterns_below x in
       let aliases =
         match tags with
         | [] ->
-          SS.elements
-            (SS.inter (edge_aliases_below x) (SS.of_list (Physical.output_fields phys)))
+          let below =
+            List.concat_map
+              (fun p -> List.map (fun e -> e.Pattern.e_alias) (Array.to_list (Pattern.edges p)))
+              patterns
+          in
+          SS.elements (SS.inter (SS.of_list below) (SS.of_list (Physical.output_fields phys)))
         | _ -> tags
       in
-      Physical.All_distinct (phys, aliases)
+      (* with narrowed types, only edges that can bind the same graph edge
+         are checked, one check per overlapping group *)
+      if config.enable_type_inference then
+        List.fold_left
+          (fun acc c -> Physical.All_distinct (acc, c))
+          phys
+          (Plan_narrow.distinct_components schema patterns aliases)
+      else Physical.All_distinct (phys, aliases)
   in
-  let phys = to_phys l2 in
+  let phys =
+    Plan_narrow.narrow ~sink:config.enable_type_inference ~trim:config.enable_field_trim
+      (to_phys l2)
+  in
   let phys = stage "physical" (Physical_check.check ~schema) phys in
   ( phys,
     {

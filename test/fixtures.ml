@@ -104,20 +104,43 @@ let p_to_city =
 let rec plan_has_tie_cut (p : Gopt_opt.Physical.t) =
   let module P = Gopt_opt.Physical in
   match p with
-  | P.Limit _ | P.Skip _ -> true
-  | P.Order (x, _, lim) -> lim <> None || plan_has_tie_cut x
-  | P.Scan _ | P.Common_ref _ | P.Empty _ -> false
-  | P.Expand_all (x, _)
-  | P.Expand_into (x, _)
-  | P.Expand_intersect (x, _)
-  | P.Path_expand (x, _)
-  | P.Select (x, _)
-  | P.Project (x, _)
-  | P.Group (x, _, _)
-  | P.Unfold (x, _, _)
-  | P.Dedup (x, _)
-  | P.All_distinct (x, _) -> plan_has_tie_cut x
-  | P.Hash_join { left; right; _ } -> plan_has_tie_cut left || plan_has_tie_cut right
-  | P.Union (a, b) -> plan_has_tie_cut a || plan_has_tie_cut b
-  | P.With_common { common; left; right; _ } ->
-    plan_has_tie_cut common || plan_has_tie_cut left || plan_has_tie_cut right
+  | P.Limit _ | P.Skip _ | P.Order (_, _, Some _) -> true
+  | _ -> List.exists plan_has_tie_cut (P.children p)
+
+(* --- optimizer oracle ------------------------------------------------------ *)
+
+(* The planner without the passes that read narrowed types or trim fields:
+   edge distinctness stays one check over every edge, above the pattern. *)
+let unnarrowed_config =
+  {
+    (Gopt_opt.Planner.default_config ()) with
+    Gopt_opt.Planner.enable_type_inference = false;
+    enable_field_trim = false;
+  }
+
+(* A result as a sorted bag of rows, COLLECT lists sorted too: Cypher leaves
+   their element order unspecified. *)
+let bag b =
+  let module Rval = Gopt_exec.Rval in
+  let rec canon = function
+    | Rval.Rlist l -> Rval.Rlist (List.sort Rval.compare (List.map canon l))
+    | v -> v
+  in
+  let rows = ref [] in
+  Gopt_exec.Batch.iter (fun row -> rows := List.map canon (Array.to_list row) :: !rows) b;
+  List.sort (List.compare Rval.compare) !rows
+
+(* Run [q] through the materialized engine planned by default and planned
+   with [unnarrowed_config]; [None] when both give the same bag, else what
+   differs. *)
+let optimizer_oracle session q =
+  let run config =
+    let phys, _ = Gopt.plan_cypher ?config session q in
+    fst (Gopt_exec.Engine.run_materialized (Gopt.Session.graph session) phys)
+  in
+  let got = run None and want = run (Some unnarrowed_config) in
+  if List.equal (List.equal Gopt_exec.Rval.equal) (bag got) (bag want) then None
+  else
+    Some
+      (Printf.sprintf "default plan: %d rows, unnarrowed plan: %d rows"
+         (Gopt_exec.Batch.n_rows got) (Gopt_exec.Batch.n_rows want))

@@ -14,9 +14,17 @@
    [generate_joins] draws a second family on its own seeds: the same MATCH,
    followed by an OPTIONAL MATCH, a [WHERE (pattern)] or a
    [WHERE NOT (pattern)] hanging one edge off a bound variable, so that the
-   plan holds a Left_outer, Semi or Anti hash join. *)
+   plan holds a Left_outer, Semi or Anti hash join.
+
+   [generate_pattern] draws a third family for the optimizer oracle:
+   branching and cyclic patterns of 3–6 edges over a triple table (the
+   Fixtures one, or a slice of the LDBC schema where HAS_TAG leaves both a
+   Forum and a Post), with repeated and undirected edge types, closed
+   triangles, an optional var-length KNOWS segment and mostly count-star
+   returns. *)
 
 module Prng = Gopt_util.Prng
+module Vec = Gopt_util.Vec
 
 type vlabel = Person | City | Product
 
@@ -225,3 +233,127 @@ let generate_joins seed =
   let ret, aliases = gen_return rng nodes in
   let tail = gen_tail rng aliases in
   Printf.sprintf "MATCH %s%s RETURN %s%s" pattern clause ret tail
+
+(* --- optimizer-oracle patterns -------------------------------------------- *)
+
+(* (src label, edge type, dst label) *)
+let fixture_triples =
+  [|
+    ("Person", "KNOWS", "Person");
+    ("Person", "LIVES_IN", "City");
+    ("Product", "PRODUCED_IN", "City");
+    ("Person", "PURCHASED", "Product");
+  |]
+
+let ldbc_triples =
+  [|
+    ("Person", "KNOWS", "Person");
+    ("Person", "IS_LOCATED_IN", "City");
+    ("Person", "LIKES", "Post");
+    ("Post", "HAS_CREATOR", "Person");
+    ("Forum", "HAS_MEMBER", "Person");
+    ("Forum", "HAS_TAG", "Tag");
+    ("Post", "HAS_TAG", "Tag");
+  |]
+
+(* a property every label of the table carries, for projections *)
+let pattern_prop ~ldbc label =
+  if ldbc then "id" else match label with "Person" -> "age" | _ -> "name"
+
+let generate_pattern ~ldbc seed =
+  let rng = Prng.create seed in
+  let triples = if ldbc then ldbc_triples else fixture_triples in
+  (* LDBC tags and forums are hubs: longer patterns over them outgrow the
+     oracle *)
+  let n_edges = Prng.int_in rng 3 (if ldbc then 4 else 6) in
+  let labels = Vec.create () in
+  let s0, _, _ = Prng.choice rng triples in
+  Vec.push labels s0;
+  let parts = ref [] and var_length = ref false in
+  let mentioned = Hashtbl.create 8 in
+  (* a vertex's label is written at its first mention only, and left out
+     now and then so that type inference has something to narrow *)
+  let vref i =
+    let v = Printf.sprintf "v%d" i in
+    if Hashtbl.mem mentioned i || Prng.int rng 6 = 0 then begin
+      Hashtbl.replace mentioned i ();
+      Printf.sprintf "(%s)" v
+    end
+    else begin
+      Hashtbl.add mentioned i ();
+      Printf.sprintf "(%s:%s)" v (Vec.get labels i)
+    end
+  in
+  let degree = Vec.create () in
+  Vec.push degree 0;
+  let add_edge a b (_, et, _) forward =
+    if b = Vec.length degree then Vec.push degree 0;
+    Vec.set degree a (Vec.get degree a + 1);
+    Vec.set degree b (Vec.get degree b + 1);
+    let undirected = et = "KNOWS" && Prng.int rng 3 = 0 in
+    let hops =
+      if et = "KNOWS" && (not !var_length) && Prng.int rng 6 = 0 then begin
+        var_length := true;
+        "*1..2"
+      end
+      else ""
+    in
+    let ra = vref a and rb = vref b in
+    parts :=
+      (if undirected then Printf.sprintf "%s-[:%s%s]-%s" ra et hops rb
+       else if forward then Printf.sprintf "%s-[:%s%s]->%s" ra et hops rb
+       else Printf.sprintf "%s<-[:%s%s]-%s" ra et hops rb)
+      :: !parts
+  in
+  (* the triples joining labels [la] and [lb], with the direction from a *)
+  let between la lb =
+    Array.to_list triples
+    |> List.concat_map (fun ((s, _, d) as t) ->
+           (if s = la && d = lb then [ (t, true) ] else [])
+           @ if d = la && s = lb && s <> d then [ (t, false) ] else [])
+  in
+  for _ = 1 to n_edges do
+    let n = Vec.length labels in
+    (* close a cycle between two bound vertices when the schema allows,
+       else grow a new vertex off a bound one *)
+    let closing =
+      if n >= 3 && Prng.int rng 3 = 0 then
+        let a = Prng.int rng n and b = Prng.int rng n in
+        if a = b then None
+        else
+          match between (Vec.get labels a) (Vec.get labels b) with
+          | [] -> None
+          | cs -> Some (a, b, List.nth cs (Prng.int rng (List.length cs)))
+      else None
+    in
+    match closing with
+    | Some (a, b, (t, fwd)) -> add_edge a b t fwd
+    | None ->
+      (* mostly a chain, sometimes a branch off a vertex of degree below
+         3: a hub with more branches multiplies its matches past what the
+         oracle can enumerate *)
+      let a =
+        let b = Prng.int rng n in
+        if Vec.get degree b < 3 && Prng.int rng 3 = 0 then b else n - 1
+      in
+      let la = Vec.get labels a in
+      let cs =
+        Array.to_list triples
+        |> List.concat_map (fun ((s, _, d) as t) ->
+               (if s = la then [ (t, d, true) ] else [])
+               @ if d = la then [ (t, s, false) ] else [])
+      in
+      let t, lb, fwd = List.nth cs (Prng.int rng (List.length cs)) in
+      Vec.push labels lb;
+      add_edge a n t fwd
+  done;
+  let n = Vec.length labels in
+  let item i = Printf.sprintf "v%d.%s" i (pattern_prop ~ldbc (Vec.get labels i)) in
+  let ret =
+    match Prng.int rng 6 with
+    | 0 | 1 | 2 -> "count(*) AS c"
+    | 3 -> Printf.sprintf "%s AS k, count(*) AS c" (item (Prng.int rng n))
+    | 4 -> Printf.sprintf "%s AS k, collect(%s) AS l" (item (Prng.int rng n)) (item (Prng.int rng n))
+    | _ -> Printf.sprintf "DISTINCT %s AS a, %s AS b" (item (Prng.int rng n)) (item (Prng.int rng n))
+  in
+  Printf.sprintf "MATCH %s RETURN %s" (String.concat ", " (List.rev !parts)) ret

@@ -259,7 +259,17 @@ let test_stats_recorded () =
   Alcotest.(check bool) "rows recorded" true (stats.Engine.intermediate_rows = 4);
   Alcotest.(check bool) "comm counted" true (stats.Engine.comm_rows = 4);
   let _, stats2 = Engine.run ~profile:Engine.neo4j_profile graph phys in
-  Alcotest.(check int) "no comm on neo4j profile" 0 stats2.Engine.comm_rows
+  Alcotest.(check int) "no comm on neo4j profile" 0 stats2.Engine.comm_rows;
+  (* a column swap counts its rows but ships nothing, in both engines *)
+  let swap = Physical.Project (phys, [ (Expr.Var "a", "b") ]) in
+  List.iter
+    (fun (engine, (_, st)) ->
+      Alcotest.(check (pair int int)) (engine ^ ": swap rows, no comm") (8, 4)
+        (st.Engine.intermediate_rows, st.Engine.comm_rows))
+    [
+      ("pipelined", Engine.run ~profile:Engine.graphscope_profile graph swap);
+      ("materialized", Engine.run_materialized ~profile:Engine.graphscope_profile graph swap);
+    ]
 
 let test_batch_pos_error () =
   let b = Batch.create [ "a"; "b" ] in
@@ -830,6 +840,24 @@ let test_expand_intersect_long_lists () =
   (* (p0,p0) and (p41,p41): 40 each; (p0,p41) and (p41,p0): 36 each *)
   ignore (check_differential "long lists" hub_graph intersect 152)
 
+(* an undirected KNOWS chain can walk one edge back: the distinctness check
+   removes those rows, and the narrowed plan removes exactly the rows the
+   unnarrowed one does *)
+let test_undirected_distinct_oracle () =
+  let s = Gopt.Session.create hub_graph in
+  let count q =
+    match Batch.get (Gopt.run_cypher s q).Gopt.result 0 0 with
+    | Rval.Rval (Value.Int n) -> n
+    | v -> Alcotest.failf "expected a count, got %s" (Format.asprintf "%a" (Rval.pp hub_graph) v)
+  in
+  let q = "MATCH (a:Person)-[:KNOWS]-(b:Person)-[:KNOWS]-(c:Person) RETURN count(*) AS n" in
+  let distinct = count q in
+  let walks =
+    count "MATCH (a:Person)-[:KNOWS]-(b:Person) MATCH (b)-[:KNOWS]-(c:Person) RETURN count(*) AS n"
+  in
+  Alcotest.(check bool) "the check removes rows" true (distinct < walks);
+  Alcotest.(check (option string)) "narrowed = unnarrowed" None (optimizer_oracle s q)
+
 (* one step with both an edge and a target predicate, run before gathering;
    and a target predicate that reads an input column, run on the gathered
    chunk *)
@@ -926,6 +954,7 @@ let () =
           Alcotest.test_case "limit stops early" `Quick test_expand_limit;
           Alcotest.test_case "parallel edges" `Quick test_expand_parallel_edges;
           Alcotest.test_case "intersect long lists" `Quick test_expand_intersect_long_lists;
+          Alcotest.test_case "undirected chain vs oracle" `Quick test_undirected_distinct_oracle;
           Alcotest.test_case "edge and target predicates" `Quick test_expand_predicates;
           Alcotest.test_case "boxed source column" `Quick test_expand_boxed_source;
         ] );

@@ -286,6 +286,167 @@ let prop_cbo_complete =
       let fields = Physical.output_fields phys in
       Array.for_all (fun v -> List.mem v.Pattern.v_alias fields) (Pattern.vertices p))
 
+(* --- narrowing passes (Plan_narrow) --------------------------------------- *)
+
+module Narrow = Gopt_opt.Plan_narrow
+module Queries = Gopt_workloads.Queries
+
+let workload_session =
+  lazy (Gopt.Session.create (Gopt_workloads.Ldbc.generate ~persons:1200 ()))
+
+let workload_plan name =
+  let q = Queries.find (Queries.qr @ Queries.qc) name in
+  fst (Gopt.plan_cypher (Lazy.force workload_session) q.Queries.cypher)
+
+(* every node of a plan, pre-order *)
+let rec nodes plan = plan :: List.concat_map nodes (Physical.children plan)
+
+let checks plan =
+  List.filter_map
+    (function Physical.All_distinct (x, tags) -> Some (x, tags) | _ -> None)
+    (nodes plan)
+
+let is_join keys = function
+  | Physical.Hash_join { keys = k; _ } -> k = keys
+  | _ -> false
+
+let test_qc3b_check_placement () =
+  let plan = workload_plan "QC3b" in
+  match checks plan with
+  | [ (below, tags) ] ->
+    Alcotest.(check (list string)) "only the KNOWS pair" [ "@e1"; "@e2" ] tags;
+    Alcotest.(check bool) "directly above HashJoin(p2)" true (is_join [ "p2" ] below);
+    let top = List.find (is_join [ "p3" ]) (nodes plan) in
+    Alcotest.(check int) "none above the top join" 1 (List.length (checks top))
+  | cs -> Alcotest.failf "expected one AllDistinct, got %d" (List.length cs)
+
+let test_qc4a_no_has_tag_pair () =
+  let plan = workload_plan "QC4a" in
+  let cs = checks plan in
+  Alcotest.(check bool) "a KNOWS check remains" true (cs <> []);
+  List.iter
+    (fun (_, tags) ->
+      Alcotest.(check bool)
+        "Forum HAS_TAG (@e6) never paired with Post HAS_TAG (@e8)" false
+        (List.mem "@e6" tags && List.mem "@e8" tags);
+      Alcotest.(check (list string)) "the three KNOWS edges" [ "@e1"; "@e2"; "@e3" ] tags)
+    cs
+
+let test_qr8_check_above_filtered_step () =
+  let plan = workload_plan "QR8" in
+  let cs = checks plan in
+  Alcotest.(check int) "one check per branch" 2 (List.length cs);
+  List.iter
+    (fun (below, _) ->
+      match below with
+      | Physical.Expand_all (_, s) ->
+        Alcotest.(check bool) "above the predicated WORK_AT/STUDY_AT step" true
+          (s.Physical.s_to_pred <> None)
+      | p -> Alcotest.failf "check sits above %s" (Physical.node_label p))
+    cs
+
+let test_var_length_keeps_check () =
+  let s = Gopt.Session.create graph in
+  let plan, _ =
+    Gopt.plan_cypher s
+      "MATCH (a:Person)-[k:KNOWS*1..3]->(b:Person)-[l:LIVES_IN]->(c:City) RETURN count(*) AS n"
+  in
+  Alcotest.(check (list (list string))) "the path is checked alone" [ [ "k" ] ]
+    (List.map snd (checks plan))
+
+let test_components () =
+  (* two KNOWS edges overlap; LIVES_IN overlaps neither; an untyped edge
+     overlaps everything *)
+  let p =
+    Pattern.create
+      [| pv "a" (Tc.Basic person); pv "b" (Tc.Basic person); pv "c" (Tc.Basic person);
+         pv "d" (Tc.Basic city) |]
+      [| pe "e1" 0 1 (Tc.Basic knows); pe "e2" 1 2 (Tc.Basic knows);
+         pe "e3" 2 3 (Tc.Basic lives_in) |]
+  in
+  let comps tags = Narrow.distinct_components schema [ p ] tags in
+  Alcotest.(check (list (list string))) "KNOWS pair only" [ [ "e1"; "e2" ] ]
+    (comps [ "e1"; "e2"; "e3" ]);
+  Alcotest.(check (list (list string))) "lone LIVES_IN dropped" [] (comps [ "e1"; "e3" ]);
+  Alcotest.(check (list (list string))) "an unknown tag joins all" [ [ "e1"; "e3"; "x" ] ]
+    (comps [ "e1"; "e3"; "x" ])
+
+let knows_step alias from to_ =
+  {
+    Physical.s_edge = pe alias 0 1 (Tc.Basic knows);
+    s_from = from;
+    s_to = to_;
+    s_forward = true;
+    s_to_con = Tc.Basic person;
+    s_to_pred = None;
+  }
+
+(* a-[e1:KNOWS]->b joined on b with b-[e2:KNOWS]->c *)
+let join_ab_bc kind =
+  let step = knows_step in
+  let scan a = Physical.Scan { alias = a; con = Tc.Basic person; pred = None } in
+  Physical.Hash_join
+    {
+      left = Physical.Expand_all (scan "a", step "e1" "a" "b");
+      right = Physical.Expand_all (scan "b", step "e2" "b" "c");
+      keys = [ "b" ];
+      kind;
+    }
+
+(* a check on {e1, e2} over a-[e1]->b-[e2]->c and a third step [last]
+   from c: it sinks through an ExpandAll to c-[e3]->d, and stays above an
+   ExpandInto closing c-[e3]->a, which drops rows itself *)
+let test_check_stops_at_expand_into () =
+  let step = knows_step in
+  let chain =
+    Physical.Expand_all
+      (Physical.Expand_all (Physical.Scan { alias = "a"; con = Tc.Basic person; pred = None }, step "e1" "a" "b"),
+       step "e2" "b" "c")
+  in
+  let placed last =
+    match checks (Narrow.narrow ~sink:true ~trim:false (Physical.All_distinct (last, [ "e1"; "e2" ]))) with
+    | [ (below, _) ] -> Physical.node_label below
+    | cs -> Alcotest.failf "expected one AllDistinct, got %d" (List.length cs)
+  in
+  Alcotest.(check string) "through an ExpandAll" (Physical.node_label chain)
+    (placed (Physical.Expand_all (chain, step "e3" "c" "d")));
+  let into = Physical.Expand_into (chain, step "e3" "c" "a") in
+  Alcotest.(check string) "above an ExpandInto" (Physical.node_label into) (placed into)
+
+(* the fields kept by a Project directly below a join, left before right *)
+let projects plan =
+  List.concat_map
+    (function
+      | Physical.Hash_join { left; right; _ } ->
+        List.filter_map
+          (function Physical.Project (_, ps) -> Some (List.map snd ps) | _ -> None)
+          [ left; right ]
+      | _ -> [])
+    (nodes plan)
+
+let trim = Narrow.narrow ~sink:false ~trim:true
+
+let count_star x =
+  Physical.Group
+    (x, [], [ { Logical.agg_fn = Logical.Count; agg_arg = None; agg_alias = "n" } ])
+
+let test_trim_rules () =
+  Alcotest.(check (list (list string))) "count(*) keeps only the keys"
+    [ [ "b" ]; [ "b" ] ]
+    (projects (trim (count_star (join_ab_bc Logical.Inner))));
+  Alcotest.(check (list (list string))) "read fields survive"
+    [ [ "b" ]; [ "b"; "c" ] ]
+    (projects
+       (trim (Physical.Project (join_ab_bc Logical.Inner, [ (Expr.Prop ("c", "name"), "n") ]))));
+  Alcotest.(check (list (list string))) "Dedup() keeps every field" []
+    (projects (trim (Physical.Dedup (join_ab_bc Logical.Inner, []))));
+  Alcotest.(check (list (list string))) "Union keeps every field" []
+    (projects (trim (Physical.Union (join_ab_bc Logical.Inner, join_ab_bc Logical.Inner))));
+  Alcotest.(check (list (list string))) "semi join: the right side keeps its keys"
+    [ [ "a"; "b" ]; [ "b" ] ]
+    (projects
+       (trim (Physical.Project (join_ab_bc Logical.Semi, [ (Expr.Var "a", "a") ]))))
+
 let () =
   Alcotest.run "opt"
     [
@@ -317,6 +478,17 @@ let () =
           Alcotest.test_case "invalid pattern" `Quick test_planner_invalid_pattern;
           Alcotest.test_case "path planner splits" `Quick test_path_planner_splits;
           Alcotest.test_case "user order compile" `Quick test_user_order_compile;
+        ] );
+      ( "narrow",
+        [
+          Alcotest.test_case "distinctness components" `Quick test_components;
+          Alcotest.test_case "QC3b check above HashJoin(p2)" `Quick test_qc3b_check_placement;
+          Alcotest.test_case "check stops above ExpandInto" `Quick test_check_stops_at_expand_into;
+          Alcotest.test_case "QC4a pairs no HAS_TAG edges" `Quick test_qc4a_no_has_tag_pair;
+          Alcotest.test_case "QR8 check above filtered steps" `Quick
+            test_qr8_check_above_filtered_step;
+          Alcotest.test_case "var-length path keeps its check" `Quick test_var_length_keeps_check;
+          Alcotest.test_case "join-input trim rules" `Quick test_trim_rules;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_cbo_complete ]);
     ]

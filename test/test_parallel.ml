@@ -185,19 +185,11 @@ let test_random_join_differential () =
 let test_join_kinds_covered () =
   let s = Lazy.force session in
   let rec kinds (p : Physical.t) =
-    match p with
-    | Physical.Hash_join { left; right; kind; _ } -> (kind :: kinds left) @ kinds right
-    | Physical.With_common { common; left; right; combine } ->
-      (match combine with Gopt_gir.Logical.C_join (_, k) -> [ k ] | Gopt_gir.Logical.C_union -> [])
-      @ kinds common @ kinds left @ kinds right
-    | Physical.Union (a, b) -> kinds a @ kinds b
-    | Physical.Scan _ | Physical.Common_ref _ | Physical.Empty _ -> []
-    | Physical.Expand_all (x, _) | Physical.Expand_into (x, _) | Physical.Expand_intersect (x, _)
-    | Physical.Path_expand (x, _) | Physical.Select (x, _) | Physical.Project (x, _)
-    | Physical.Group (x, _, _) | Physical.Unfold (x, _, _) | Physical.Dedup (x, _)
-    | Physical.All_distinct (x, _) | Physical.Order (x, _, _) | Physical.Limit (x, _)
-    | Physical.Skip (x, _) ->
-      kinds x
+    (match p with
+    | Physical.Hash_join { kind; _ } -> [ kind ]
+    | Physical.With_common { combine = Gopt_gir.Logical.C_join (_, k); _ } -> [ k ]
+    | _ -> [])
+    @ List.concat_map kinds (Physical.children p)
   in
   let seen =
     List.concat_map (fun seed -> kinds (fst (Gopt.plan_cypher s (Gen_query.generate_joins seed))))
@@ -354,6 +346,29 @@ let test_join_output_streams () =
         js)
     [ 1; 4 ]
 
+(* The optimizer oracle: random branching and cyclic patterns, planned with
+   and without the type- and field-narrowing passes, give the same bag on
+   the materialized engine — over the Fixtures schema and over a slice of
+   the LDBC schema, where HAS_TAG leaves both Forums and Posts. *)
+let ldbc_session = lazy (Gopt.Session.create (Gopt_workloads.Ldbc.generate ~persons:20 ()))
+
+let test_optimizer_oracle () =
+  let check ~ldbc session seed =
+    let q = Gen_query.generate_pattern ~ldbc seed in
+    let schema = if ldbc then "ldbc" else "fixture" in
+    match optimizer_oracle session q with
+    | None -> ()
+    | Some diff -> Alcotest.failf "%s seed %d: %s\nquery:\n  %s" schema seed diff q
+    | exception e ->
+      Alcotest.failf "%s seed %d: %s\nquery:\n  %s" schema seed (Printexc.to_string e) q
+  in
+  for seed = 0 to 99 do
+    check ~ldbc:false (Lazy.force session) seed
+  done;
+  for seed = 0 to 99 do
+    check ~ldbc:true (Lazy.force ldbc_session) seed
+  done
+
 (* the generator itself: deterministic in the seed, and every query it emits
    is clean under the static checker *)
 let test_generator_deterministic () =
@@ -368,6 +383,7 @@ let test_generator_clean () =
   let queries =
     List.init n_random (fun seed -> (seed, Gen_query.generate seed))
     @ List.map (fun seed -> (seed, Gen_query.generate_joins seed)) join_seeds
+    @ List.init 100 (fun seed -> (seed, Gen_query.generate_pattern ~ldbc:false seed))
   in
   List.iter
     (fun (seed, q) ->
@@ -391,6 +407,7 @@ let () =
             test_random_join_differential;
           Alcotest.test_case "random join kinds covered" `Quick test_join_kinds_covered;
           Alcotest.test_case "workload suite" `Quick test_workload_differential;
+          Alcotest.test_case "optimizer oracle (200 seeds)" `Quick test_optimizer_oracle;
         ] );
       ( "determinism",
         [ Alcotest.test_case "10 runs, varying workers" `Quick test_determinism ] );
