@@ -113,31 +113,6 @@ let var_length_ratio t (e : Pattern.edge) ~from_con ~to_con ~forward ~k =
   in
   if k <= 0 then 1.0 else walk from_con k 1.0
 
-(* sigma for one incident edge of a peeled vertex [v] (Eq. 2).
-   [closing] distinguishes case 2 (v already introduced). *)
-let sigma t p ~v ~ei ~closing =
-  let e = Pattern.edge p ei in
-  let u = if e.Pattern.e_src = v then e.Pattern.e_dst else e.Pattern.e_src in
-  let ucon = (Pattern.vertex p u).Pattern.v_con in
-  let vcon = (Pattern.vertex p v).Pattern.v_con in
-  (* orient the constraint pair as stored on the edge *)
-  let src_con, dst_con = if e.Pattern.e_src = u then (ucon, vcon) else (vcon, ucon) in
-  let num =
-    match e.Pattern.e_hops with
-    | None ->
-      let f = edge_freq t e ~src_con ~dst_con in
-      let base = vcon_freq t ucon in
-      if base <= 0.0 then 0.0 else f /. base
-    | Some (lo, _) ->
-      (* read the ratio from u towards v *)
-      var_length_ratio t e ~from_con:ucon ~to_con:vcon ~forward:(e.Pattern.e_src = u) ~k:lo
-  in
-  if not closing then num
-  else begin
-    let vbase = vcon_freq t vcon in
-    if vbase <= 0.0 then 0.0 else num /. vbase
-  end
-
 let strip p =
   Pattern.map_vertices (fun _ v -> { v with Pattern.v_pred = None; v_columns = None }) p
   |> Pattern.map_edges (fun _ e -> { e with Pattern.e_pred = None })
@@ -359,6 +334,57 @@ and compute t p =
             base *. product
         end
     end
+  end
+
+(* sigma for one incident edge [ei] of a peeled vertex [v] (Eq. 2): the
+   rate at which a match of P - v extends along e = (u, v) from u. [closing]
+   (case 2, v already introduced) divides it by F(v).
+   [High_order] estimation of a pattern of more than 3 vertices conditions a
+   plain edge's rate on an edge e' = (w, u) that P - v already has:
+   F({e', e}) / F({e'}), the mean number of e-edges at the u-end of an
+   e'-match, read exactly from a stored wedge. Where degrees correlate (on
+   LDBC, KNOWS in-degree, HAS_MEMBER and HAS_CREATOR follow one person rank)
+   the flat F(e)/F(u) misses it; the maximum over e' keeps the strongest
+   witness. A closing edge still spreads the rate uniformly over v's type.
+   Patterns of 3 vertices keep the flat rate: their wedge {e', e} is the
+   pattern itself, and conditioning would recurse into it. *)
+and sigma t p ~v ~ei ~closing =
+  let e = Pattern.edge p ei in
+  let u = if e.Pattern.e_src = v then e.Pattern.e_dst else e.Pattern.e_src in
+  let ucon = (Pattern.vertex p u).Pattern.v_con in
+  let vcon = (Pattern.vertex p v).Pattern.v_con in
+  (* orient the constraint pair as stored on the edge *)
+  let src_con, dst_con = if e.Pattern.e_src = u then (ucon, vcon) else (vcon, ucon) in
+  let num =
+    match e.Pattern.e_hops with
+    | None -> begin
+      let conditioned (ej, w) =
+        if w = v || (Pattern.edge p ej).Pattern.e_hops <> None then None
+        else begin
+          let single = freq0 t (fst (Pattern.sub_by_edges p [ ej ])) in
+          if single <= 0.0 then None
+          else Some (freq0 t (fst (Pattern.sub_by_edges p [ ej; ei ])) /. single)
+        end
+      in
+      let rates =
+        if t.mode = Low_order || Pattern.n_vertices p <= 3 then []
+        else List.filter_map conditioned (Pattern.neighbors p u)
+      in
+      match rates with
+      | r :: rs -> List.fold_left Float.max r rs
+      | [] ->
+        let f = edge_freq t e ~src_con ~dst_con in
+        let base = vcon_freq t ucon in
+        if base <= 0.0 then 0.0 else f /. base
+    end
+    | Some (lo, _) ->
+      (* read the ratio from u towards v *)
+      var_length_ratio t e ~from_con:ucon ~to_con:vcon ~forward:(e.Pattern.e_src = u) ~k:lo
+  in
+  if not closing then num
+  else begin
+    let vbase = vcon_freq t vcon in
+    if vbase <= 0.0 then 0.0 else num /. vbase
   end
 
 and union_expansion t p =
