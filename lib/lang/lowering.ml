@@ -66,6 +66,7 @@ let build_pattern schema ~fresh paths =
   let index : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let vertices = Gopt_util.Vec.create () in
   let edges = Gopt_util.Vec.create () in
+  let identities = ref [] in
   let add_node (n : node_pat) =
     let name = match n.n_name with Some s -> s | None -> fresh "v" in
     let con = resolve_vcon schema n.n_labels in
@@ -103,6 +104,21 @@ let build_pattern schema ~fresh paths =
             | R_in -> (cur, !prev, true)
             | R_both -> (!prev, cur, false)
           in
+          (* A pattern holds no self-loop: the relationship ends at a hidden
+             copy of its node instead, equated with the node by a filter. A
+             single hop is made directed, so that an undirected self-loop
+             matches each graph self-loop once. *)
+          let dst, directed =
+            if src <> dst then (dst, directed)
+            else begin
+              let v = Gopt_util.Vec.get vertices src in
+              let copy = fresh "loop" in
+              identities :=
+                Expr.Binop (Expr.Eq, Expr.Var v.Pattern.v_alias, Expr.Var copy) :: !identities;
+              Gopt_util.Vec.push vertices (Pattern.mk_vertex ~alias:copy v.Pattern.v_con);
+              (Gopt_util.Vec.length vertices - 1, directed || rel.r_hops = None)
+            end
+          in
           (* Cypher variable-length semantics: no repeated edge inside the
              path (Trail) *)
           let path_sem = if rel.r_hops = None then Pattern.Arbitrary else Pattern.Trail in
@@ -112,7 +128,13 @@ let build_pattern schema ~fresh paths =
           prev := cur)
         path.tail)
     paths;
-  Pattern.create (Gopt_util.Vec.to_array vertices) (Gopt_util.Vec.to_array edges)
+  ( Pattern.create (Gopt_util.Vec.to_array vertices) (Gopt_util.Vec.to_array edges),
+    Expr.conj (List.rev !identities) )
+
+let match_of (p, identities) =
+  match identities with
+  | None -> Logical.Match p
+  | Some e -> Logical.Select (Logical.Match p, e)
 
 let default_alias = function
   | Scalar (Expr.Var x) -> x
@@ -188,8 +210,8 @@ let cypher ?(edge_distinct = true) schema (q : query) =
   let lower_single clauses =
     let plan = ref None in
     let match_plan paths =
-      let p = build_pattern schema ~fresh paths in
-      let base = Logical.Match p in
+      let ((p, _) as built) = build_pattern schema ~fresh paths in
+      let base = match_of built in
       if edge_distinct && Pattern.n_edges p >= 2 then
         let tags =
           Array.to_list (Pattern.edges p) |> List.map (fun e -> e.Pattern.e_alias)
@@ -217,7 +239,7 @@ let cypher ?(edge_distinct = true) schema (q : query) =
                 match conj with
                 | Wc_expr e -> Logical.Select (acc, e)
                 | Wc_pattern (positive, pats) ->
-                  let sub = Logical.Match (build_pattern schema ~fresh pats) in
+                  let sub = match_of (build_pattern schema ~fresh pats) in
                   let keys = shared_fields acc sub in
                   if keys = [] then
                     fail "pattern predicate shares no variables with the query";

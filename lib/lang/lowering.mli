@@ -28,7 +28,11 @@ val build_pattern :
   Gopt_graph.Schema.t ->
   fresh:(string -> string) ->
   Cypher_ast.path_pat list ->
-  Gopt_pattern.Pattern.t
+  Gopt_pattern.Pattern.t * Gopt_pattern.Expr.t option
 (** Build one pattern graph from path patterns (exposed for the Gremlin
     frontend and for tests). [fresh] generates aliases for anonymous
-    elements. *)
+    elements. A relationship from a node to itself ends at a fresh hidden
+    vertex (["@loop1"], ...) instead, since a pattern holds no self-loop; the
+    returned filter equates each such vertex with its node. A single-hop
+    self-loop is matched directed, so an undirected one matches each graph
+    self-loop once. *)

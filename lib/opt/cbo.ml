@@ -87,26 +87,28 @@ let scan_plan gq pattern =
 
 (* Order a new vertex's binding edges cheapest-first (by the frequency of the
    subpattern extended with just that edge). *)
-let order_edges gq target sub_edges anchor new_edges =
-  let keyed =
-    List.map
-      (fun e -> (Physical_spec.sub_freq gq target (e :: sub_edges) ~anchor, e))
-      new_edges
-  in
-  List.map snd (List.sort (fun (a, _) (b, _) -> Float.compare a b) keyed)
+let order_edges gq target anchor new_edges =
+  match new_edges with
+  | [] | [ _ ] -> new_edges
+  | _ ->
+    let sub_edges =
+      (* edges of target present in the subpattern = all edges not incident
+         to the new vertex *)
+      List.filter
+        (fun e -> not (List.mem e new_edges))
+        (List.init (Pattern.n_edges target) Fun.id)
+    in
+    let keyed =
+      List.map
+        (fun e -> (Physical_spec.sub_freq gq target (e :: sub_edges) ~anchor, e))
+        new_edges
+    in
+    List.map snd (List.sort (fun (a, _) (b, _) -> Float.compare a b) keyed)
 
-let make_expand_plan gq spec target ~sub_plan ~new_vertex ~new_edges ~anchor ~freq =
-  let sub_edges =
-    (* edges of target present in the subpattern = all edges not incident to
-       the new vertex *)
-    List.filter
-      (fun e -> not (List.mem e new_edges))
-      (List.init (Pattern.n_edges target) Fun.id)
-  in
-  let step_cost =
-    spec.Physical_spec.expand_cost gq ~target ~sub_edges ~new_edges ~anchor_vertex:anchor
-  in
-  let ordered = order_edges gq target sub_edges anchor new_edges in
+(* [step_cost] is the spec's expand cost of the step, which the caller has
+   already computed to rank or prune the candidate. *)
+let make_expand_plan gq target ~sub_plan ~new_vertex ~new_edges ~anchor ~freq ~step_cost =
+  let ordered = order_edges gq target anchor new_edges in
   let edges = List.map (Pattern.edge target) ordered in
   let alias = (Pattern.vertex target new_vertex).Pattern.v_alias in
   {
@@ -145,9 +147,9 @@ let rec greedy_opt gq spec target =
       invalid_arg
         "Cbo.greedy: no expand candidate — the pattern is disconnected, which PlanCheck \
          reports on the logical plan before the CBO runs"
-    | (_, C_expand { sub_pat; new_vertex; new_edges; anchor }, _) :: _ ->
+    | (step_cost, C_expand { sub_pat; new_vertex; new_edges; anchor }, _) :: _ ->
       let sub_plan = greedy_opt gq spec sub_pat in
-      make_expand_plan gq spec target ~sub_plan ~new_vertex ~new_edges ~anchor ~freq
+      make_expand_plan gq target ~sub_plan ~new_vertex ~new_edges ~anchor ~freq ~step_cost
     | (_, C_join _, _) :: _ -> assert false
   end
 
@@ -215,8 +217,8 @@ let optimize ?(options = default_options) gq spec target =
                 else begin
                   let sub_plan = search sub_pat in
                   consider
-                    (make_expand_plan gq spec p ~sub_plan ~new_vertex ~new_edges ~anchor
-                       ~freq)
+                    (make_expand_plan gq p ~sub_plan ~new_vertex ~new_edges ~anchor ~freq
+                       ~step_cost)
                 end
               | C_join { left_pat; right_pat; keys } ->
                 let step_cost =

@@ -118,6 +118,17 @@ let unnarrowed_config =
     enable_field_trim = false;
   }
 
+(* Every optimizer stage off: the query's patterns in user order, the
+   reference a plan's result is checked against. *)
+let naive_config =
+  {
+    (Gopt_opt.Planner.default_config ()) with
+    Gopt_opt.Planner.enable_rbo = false;
+    enable_field_trim = false;
+    enable_type_inference = false;
+    enable_cbo = false;
+  }
+
 (* A result as a sorted bag of rows, COLLECT lists sorted too: Cypher leaves
    their element order unspecified. *)
 let bag b =

@@ -21,7 +21,12 @@
    Fixtures one, or a slice of the LDBC schema where HAS_TAG leaves both a
    Forum and a Post), with repeated and undirected edge types, closed
    triangles, an optional var-length KNOWS segment and mostly count-star
-   returns. *)
+   returns.
+
+   [generate_union] draws a fourth family for the optimizer oracle: two
+   halves that repeat one 2–3 edge chain under different anchors (an edge
+   to a filtered vertex, or a filter on a chain vertex), the shape
+   ComSubPattern shares. *)
 
 module Prng = Gopt_util.Prng
 module Vec = Gopt_util.Vec
@@ -38,6 +43,13 @@ let triples =
     (Product, "PRODUCED_IN", City);
     (Person, "PURCHASED", Product);
   |]
+
+(* the triples incident to [label], with the far label and the direction *)
+let incident label =
+  Array.to_list triples
+  |> List.concat_map (fun (s, e, d) ->
+         (if s = label then [ (e, d, true) ] else [])
+         @ if d = label then [ (e, s, false) ] else [])
 
 (* properties per label, with the generators used to build comparison
    constants (Fixtures-style names: p0.., c0.., g0..) *)
@@ -60,13 +72,7 @@ let gen_pattern rng =
   let buf = Buffer.create 64 in
   Buffer.add_string buf (Printf.sprintf "(v0:%s)" (vname start));
   for i = 1 to n_edges do
-    let cur = (List.hd !nodes).label in
-    let candidates =
-      Array.to_list triples
-      |> List.concat_map (fun (s, e, d) ->
-             (if s = cur then [ (e, d, true) ] else [])
-             @ if d = cur then [ (e, s, false) ] else [])
-    in
+    let candidates = incident (List.hd !nodes).label in
     (* every label has at least one incident triple, so this is non-empty *)
     let e, next_label, forward = List.nth candidates (Prng.int rng (List.length candidates)) in
     let var = Printf.sprintf "v%d" i in
@@ -199,12 +205,7 @@ let generate seed =
 (* one schema edge incident to [node], from [node] to a vertex named [var]
    (empty for an anonymous one) *)
 let gen_hanging_edge rng (node : node) var =
-  let candidates =
-    Array.to_list triples
-    |> List.concat_map (fun (s, e, d) ->
-           (if s = node.label then [ (e, d, true) ] else [])
-           @ if d = node.label then [ (e, s, false) ] else [])
-  in
+  let candidates = incident node.label in
   let e, label, forward = List.nth candidates (Prng.int rng (List.length candidates)) in
   let other = Printf.sprintf "(%s:%s)" var (vname label) in
   ( (if forward then Printf.sprintf "(%s)-[:%s]->%s" node.var e other
@@ -357,3 +358,62 @@ let generate_pattern ~ldbc seed =
     | _ -> Printf.sprintf "DISTINCT %s AS a, %s AS b" (item (Prng.int rng n)) (item (Prng.int rng n))
   in
   Printf.sprintf "MATCH %s RETURN %s" (String.concat ", " (List.rev !parts)) ret
+
+(* --- shared-chain unions ---------------------------------------------------- *)
+
+(* A 2–3 edge chain v0 - v1 - ..., written out in full in each half, or
+   now and then a KNOWS triangle: a shared part that costs far more to
+   match than its rows cost to re-read *)
+let gen_chain rng =
+  if Prng.int rng 5 = 0 then
+    ( "(v0:Person)-[:KNOWS]->(v1:Person)-[:KNOWS]->(v2:Person), (v0)-[:KNOWS]->(v2)",
+      List.init 3 (fun i -> { var = Printf.sprintf "v%d" i; label = Person }) )
+  else
+  let n_edges = Prng.int_in rng 2 3 in
+  let start = [| Person; Person; City; Product |].(Prng.int rng 4) in
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (Printf.sprintf "(v0:%s)" (vname start));
+  let nodes = ref [ { var = "v0"; label = start } ] in
+  for i = 1 to n_edges do
+    let e, label, forward = Prng.choice rng (Array.of_list (incident (List.hd !nodes).label)) in
+    let var = Printf.sprintf "v%d" i in
+    Buffer.add_string buf
+      (if e = "KNOWS" && Prng.int rng 4 = 0 then Printf.sprintf "-[:KNOWS]-(%s:Person)" var
+       else if forward then Printf.sprintf "-[:%s]->(%s:%s)" e var (vname label)
+       else Printf.sprintf "<-[:%s]-(%s:%s)" e var (vname label));
+    nodes := { var; label } :: !nodes
+  done;
+  (Buffer.contents buf, List.rev !nodes)
+
+(* A half's anchor: an edge from a chain vertex to a vertex [w] that is
+   unfiltered or filtered inline or in WHERE, or else a filter on a chain
+   vertex. Returns the extra MATCH text and the WHERE clause. *)
+let gen_anchor rng chain =
+  let node = Prng.choice rng (Array.of_list chain) in
+  if Prng.int rng 4 = 0 then ("", " WHERE " ^ gen_pred rng [ node ])
+  else begin
+    let e, label, forward = Prng.choice rng (Array.of_list (incident node.label)) in
+    let w = { var = "w"; label } in
+    let inline = Prng.bool rng in
+    let bare = Prng.int rng 3 = 0 in
+    let wtext =
+      if inline && not bare then
+        Printf.sprintf "(w:%s {name: %s})" (vname label) (const rng (snd (props label).(0)))
+      else Printf.sprintf "(w:%s)" (vname label)
+    in
+    ( (if forward then Printf.sprintf ", (%s)-[:%s]->%s" node.var e wtext
+       else Printf.sprintf ", (%s)<-[:%s]-%s" node.var e wtext),
+      if bare || inline then "" else " WHERE " ^ gen_pred rng [ w ] )
+  end
+
+let generate_union seed =
+  let rng = Prng.create seed in
+  let chain, nodes = gen_chain rng in
+  let ret = Printf.sprintf "%s AS a, %s AS b" (gen_item rng nodes) (gen_item rng nodes) in
+  let half () =
+    let edge, where = gen_anchor rng nodes in
+    Printf.sprintf "MATCH %s%s%s RETURN %s" chain edge where ret
+  in
+  let first = half () in
+  let all = if Prng.int rng 3 = 0 then " ALL" else "" in
+  Printf.sprintf "%s UNION%s %s" first all (half ())

@@ -189,6 +189,52 @@ let test_cycle_closure () =
   Alcotest.(check int) "3 vertices" 3 (Pattern.n_vertices p);
   Alcotest.(check int) "3 edges" 3 (Pattern.n_edges p)
 
+(* A relationship from a node to itself lowers to an edge to a hidden copy
+   of the node, equated with it. Counted by hand on a graph with real
+   self-loops: KNOWS p0->p0, p1->p1, p0->p1, p1->p0, p1->p2. *)
+let test_self_loop () =
+  let module G = Gopt_graph.Property_graph in
+  let b = G.Builder.create schema in
+  let p =
+    Array.init 3 (fun i ->
+        G.Builder.add_vertex b ~vtype:person [ ("name", Value.Str (Printf.sprintf "p%d" i)) ])
+  in
+  let c0 = G.Builder.add_vertex b ~vtype:city [ ("name", Value.Str "c0") ] in
+  let e s d t = ignore (G.Builder.add_edge b ~src:s ~dst:d ~etype:t []) in
+  List.iter (fun (s, d) -> e p.(s) p.(d) knows) [ (0, 0); (1, 1); (0, 1); (1, 0); (1, 2) ];
+  e p.(0) c0 lives_in;
+  let session = Gopt.Session.create (G.Builder.freeze b) in
+  let rows src =
+    let o = Gopt.run_cypher session src in
+    let out = ref [] in
+    Gopt_exec.Batch.iter
+      (fun row ->
+        out :=
+          String.concat ","
+            (Array.to_list
+               (Array.map
+                  (fun v -> Value.to_string (Gopt_exec.Rval.to_value (Gopt.Session.graph session) v))
+                  row))
+          :: !out)
+      o.Gopt.result;
+    List.sort compare !out
+  in
+  List.iter
+    (fun (src, want) -> Alcotest.(check (list string)) src want (rows src))
+    [
+      ("MATCH (a:Person)-[:KNOWS]->(a) RETURN count(*) AS n", [ "2" ]);
+      (* an undirected self-loop is one match, not one per direction *)
+      ("MATCH (a:Person)-[:KNOWS]-(a) RETURN count(*) AS n", [ "2" ]);
+      ("MATCH (a:Person)<-[:KNOWS]-(a) RETURN a.name AS n", [ "\"p0\""; "\"p1\"" ]);
+      (* the loop and the next edge are distinct edges: p0 has p0->p1, p1
+         has p1->p0 and p1->p2 *)
+      ("MATCH (a:Person)-[:KNOWS]->(a)-[:KNOWS]->(b:Person) RETURN count(*) AS n", [ "3" ]);
+      (* the two loops, and the trails p0->p1->p0 and p1->p0->p1 *)
+      ("MATCH (a:Person)-[:KNOWS*1..2]->(a) RETURN count(*) AS n", [ "4" ]);
+      ("MATCH (a:Person) WHERE (a)-[:KNOWS]->(a) RETURN count(*) AS n", [ "2" ]);
+      ("MATCH (c:City)<-[:LIVES_IN]-(c) RETURN count(*) AS n", [ "0" ]);
+    ]
+
 let test_gremlin_basic () =
   let plan = Gp.parse schema "g.V().hasLabel('Person').as('a').out('KNOWS').hasLabel('Person').as('b').count()" in
   check_ok plan;
@@ -344,6 +390,7 @@ let () =
           Alcotest.test_case "params" `Quick test_parse_params;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "cycle closure" `Quick test_cycle_closure;
+          Alcotest.test_case "self-loop relationship" `Quick test_self_loop;
         ] );
       ( "gremlin",
         [

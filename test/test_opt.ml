@@ -294,9 +294,9 @@ module Queries = Gopt_workloads.Queries
 let workload_session =
   lazy (Gopt.Session.create (Gopt_workloads.Ldbc.generate ~persons:1200 ()))
 
-let workload_plan name =
-  let q = Queries.find (Queries.qr @ Queries.qc) name in
-  fst (Gopt.plan_cypher (Lazy.force workload_session) q.Queries.cypher)
+let plan_text ?config src = Gopt.plan_cypher ?config (Lazy.force workload_session) src
+let workload_text name = (Queries.find (Queries.qr @ Queries.qc) name).Queries.cypher
+let workload_plan ?config name = fst (plan_text ?config (workload_text name))
 
 (* every node of a plan, pre-order *)
 let rec nodes plan = plan :: List.concat_map nodes (Physical.children plan)
@@ -333,7 +333,10 @@ let test_qc4a_no_has_tag_pair () =
     cs
 
 let test_qr8_check_above_filtered_step () =
-  let plan = workload_plan "QR8" in
+  (* the shared form's continuations: with the CBO on, QR8 plans
+     branch-local *)
+  let config = { (Planner.default_config ()) with Planner.enable_cbo = false } in
+  let plan = workload_plan ~config "QR8" in
   let cs = checks plan in
   Alcotest.(check int) "one check per branch" 2 (List.length cs);
   List.iter
@@ -447,6 +450,66 @@ let test_trim_rules () =
     (projects
        (trim (Physical.Project (join_ab_bc Logical.Semi, [ (Expr.Var "a", "a") ]))))
 
+(* --- cost-based ComSubPattern ----------------------------------------------- *)
+
+let rec has_with_common p =
+  match p with
+  | Physical.With_common _ -> true
+  | _ -> List.exists has_with_common (Physical.children p)
+
+(* The choice recorded in [rules_applied]: the form, its estimated cost and
+   the rejected form's (or a lower bound on it). *)
+let union_choice (report : Planner.report) =
+  List.find_map
+    (fun r ->
+      try
+        Scanf.sscanf r "ComSubPattern: %s@, est. cost %f %_s %_s %f" (fun form chosen other ->
+            Some (form, chosen, other))
+      with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+    report.Planner.rules_applied
+
+let test_union_branch_local () =
+  List.iter
+    (fun name ->
+      let plan, report = plan_text (workload_text name) in
+      Alcotest.(check bool) (name ^ ": no WithCommon") false (has_with_common plan);
+      match union_choice report with
+      | Some (form, chosen, other) ->
+        Alcotest.(check string) (name ^ ": choice recorded") "branch-local" form;
+        Alcotest.(check bool) (name ^ ": chosen cost not above the other") true (chosen <= other)
+      | None -> Alcotest.failf "%s: no ComSubPattern choice in rules_applied" name)
+    [ "QR7"; "QR8" ]
+
+let test_union_shared_without_cbo () =
+  (* Fig 8(a)'s setup: the rule's shared form, with nothing to choose *)
+  let config =
+    { (Planner.default_config ()) with Planner.enable_cbo = false; enable_type_inference = false }
+  in
+  List.iter
+    (fun name ->
+      let plan, report = plan_text ~config (workload_text name) in
+      Alcotest.(check bool) (name ^ ": WithCommon") true (has_with_common plan);
+      Alcotest.(check bool) (name ^ ": no choice") true (union_choice report = None))
+    [ "QR7"; "QR8" ]
+
+let test_union_shared_when_cheaper () =
+  (* unanchored halves over a KNOWS triangle: matching the triangle costs
+     far more than re-reading its rows, so sharing it stays cheaper *)
+  let half tail =
+    "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person), (a)-[:KNOWS]->(c), " ^ tail
+    ^ " RETURN a.id AS a, c.id AS b"
+  in
+  let src =
+    half "(c)-[:IS_LOCATED_IN]->(x:City)" ^ " UNION " ^ half "(c)-[:WORK_AT]->(o:Company)"
+  in
+  let plan, report = plan_text src in
+  Alcotest.(check bool) "WithCommon kept" true (has_with_common plan);
+  match union_choice report with
+  | Some (form, chosen, other) ->
+    Alcotest.(check string) "choice recorded" "shared" form;
+    Alcotest.(check bool) "chosen cost not above the other" true (chosen <= other)
+  | None -> Alcotest.fail "no ComSubPattern choice in rules_applied"
+
 let () =
   Alcotest.run "opt"
     [
@@ -478,6 +541,10 @@ let () =
           Alcotest.test_case "invalid pattern" `Quick test_planner_invalid_pattern;
           Alcotest.test_case "path planner splits" `Quick test_path_planner_splits;
           Alcotest.test_case "user order compile" `Quick test_user_order_compile;
+          Alcotest.test_case "QR7/QR8 plan branch-local" `Quick test_union_branch_local;
+          Alcotest.test_case "QR7/QR8 shared with the CBO off" `Quick
+            test_union_shared_without_cbo;
+          Alcotest.test_case "shared when cheaper" `Quick test_union_shared_when_cheaper;
         ] );
       ( "narrow",
         [
