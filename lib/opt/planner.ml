@@ -130,17 +130,7 @@ let compile_continuation gq spec input p ~bound =
       match Pattern.edge_of_alias p a with Some i -> bound_e.(i) <- true | None -> ())
     bound;
   let alias i = (Pattern.vertex p i).Pattern.v_alias in
-  let result = ref input and cost = ref 0.0 in
-  let add_step_cost new_edges =
-    let sub_edges = List.filter (fun e -> bound_e.(e)) (List.init (Pattern.n_edges p) Fun.id) in
-    let anchor =
-      match List.find_opt (fun v -> bound_v.(v)) (List.init nv Fun.id) with Some v -> v | None -> 0
-    in
-    cost :=
-      !cost
-      +. Physical_spec.sub_freq gq p (new_edges @ sub_edges) ~anchor
-      +. spec.Physical_spec.expand_cost gq ~target:p ~sub_edges ~new_edges ~anchor_vertex:anchor
-  in
+  let result = ref input in
   let unmatched_edges () =
     List.filter (fun e -> not bound_e.(e)) (List.init (Pattern.n_edges p) Fun.id)
   in
@@ -175,7 +165,6 @@ let compile_continuation gq spec input p ~bound =
           result :=
             (if e.Pattern.e_hops = None then Physical.Expand_into (!result, step)
              else Physical.Path_expand (!result, step));
-          add_step_cost [ ei ];
           bound_e.(ei) <- true)
         closing
     else begin
@@ -223,12 +212,11 @@ let compile_continuation gq spec input p ~bound =
         result :=
           Cbo.compile_expansion spec !result p ~new_vertex_alias:(alias v)
             (List.map (Pattern.edge p) connecting);
-        add_step_cost connecting;
         bound_v.(v) <- true;
         List.iter (fun ei -> bound_e.(ei) <- true) connecting
     end
   done;
-  (!result, !cost)
+  !result
 
 (* --- pattern components -------------------------------------------------- *)
 
@@ -290,22 +278,6 @@ let patterns_below plan =
       | _ -> acc)
     [] plan
 
-(* The branch-local form of a UNION branch that reads shared rows: a
-   continuation of the common rows names its whole pattern, so it becomes a
-   plain match of that pattern. [None] when the branch reads the common rows
-   any other way. *)
-let branch_local branch =
-  let exception Shared in
-  let rec go = function
-    | Logical.Pattern_cont (Logical.Common_ref, p) -> Logical.Match p
-    | Logical.Common_ref -> raise Shared
-    | node -> Logical.map_children go node
-  in
-  match go branch with local -> Some local | exception Shared -> None
-
-let common_refs plan =
-  Logical.fold (fun n node -> match node with Logical.Common_ref -> n + 1 | _ -> n) 0 plan
-
 let plan config gq logical =
   let schema =
     match config.inference_schema with Some s -> s | None -> Gq.schema gq
@@ -317,9 +289,16 @@ let plan config gq logical =
   in
   let check_logical = Gopt_check.Plan_check.check ~schema in
   let logical = stage "logical" check_logical logical in
+  (* ComSubPattern shares a UNION's common subpattern, which the CBO then
+     plans without the anchors that filter each branch; with the CBO on,
+     each branch is planned whole instead, from its own anchor. *)
+  let rules =
+    if config.enable_cbo then
+      List.filter (fun r -> r.Rule.name <> Rules_pattern.com_sub_pattern.Rule.name) config.rules
+    else config.rules
+  in
   let l1 =
-    if config.enable_rbo then
-      Rule.fixpoint ~check:config.check_plans ~schema config.rules logical
+    if config.enable_rbo then Rule.fixpoint ~check:config.check_plans ~schema rules logical
     else (logical, [])
   in
   let l1, rules_applied = l1 in
@@ -339,32 +318,7 @@ let plan config gq logical =
          (Printf.sprintf "Planner.plan: ill-formed plan reaches the CBO: %s"
             (Format.asprintf "%a" Gopt_check.Diagnostic.pp d))
      | None -> ());
-  let search_stats = ref [] and est_costs = ref [] and cont_cost = ref 0.0 in
-  let choices = ref [] in
-  (* Lower [f ()] on its own: the search stats, CBO costs and continuation
-     costs it adds are returned, not kept. *)
-  let measured f =
-    let saved = (!search_stats, !est_costs, !cont_cost) in
-    search_stats := [];
-    est_costs := [];
-    cont_cost := 0.0;
-    let phys = f () in
-    let added = (!search_stats, !est_costs, !cont_cost) in
-    let s, c, k = saved in
-    search_stats := s;
-    est_costs := c;
-    cont_cost := k;
-    (phys, added)
-  in
-  (* Keep one measured alternative, and note the choice. *)
-  let pick note (phys, (s, c, k)) =
-    choices := ("ComSubPattern: " ^ note) :: !choices;
-    search_stats := s @ !search_stats;
-    est_costs := c @ !est_costs;
-    cont_cost := !cont_cost +. k;
-    phys
-  in
-  let total_cost (_, c, k) = List.fold_left ( +. ) k c in
+  let search_stats = ref [] and est_costs = ref [] in
   let plan_pattern p =
     if config.enable_type_inference && Ti.infer schema p = Ti.Invalid then
       Physical.Empty (Logical.output_fields (Logical.Match p))
@@ -400,46 +354,18 @@ let plan config gq logical =
         Physical.Empty (Logical.output_fields node)
       else
         let bound = Physical.output_fields input in
-        let phys, cost = compile_continuation gq config.spec input p ~bound in
-        cont_cost := !cont_cost +. cost;
-        phys
+        compile_continuation gq config.spec input p ~bound
     | Logical.Common_ref -> Physical.Common_ref common_fields
-    | Logical.With_common
-        { common = Logical.Match cp as common; left; right; combine = Logical.C_union }
-      when config.enable_cbo -> begin
-      (* ComSubPattern runs before the CBO, which then plans the shared
-         pattern without the anchors that filter each branch. So the shared
-         form is one alternative: the other plans each branch whole, and the
-         cheaper estimate is lowered. Sharing costs the common pattern once,
-         the continuations' expansions, and one re-read of the common rows
-         per CommonRef. *)
-      match branch_local left, branch_local right with
-      | Some l, Some r ->
-        let local = measured (fun () -> to_phys_c (Logical.Union (l, r))) in
-        let l_cost = total_cost (snd local) in
-        let rows = Gq.get_freq gq cp in
-        let rereads = float_of_int (common_refs left + common_refs right) *. rows in
-        (* the common pattern's CBO cost is at least its rows, so the shared
-           form cannot be cheaper when its re-reads plus those rows exceed
-           the branch-local cost; it is then not planned *)
-        if l_cost < rereads +. rows then
-          pick
-            (Printf.sprintf "branch-local, est. cost %.0f < shared %.0f (lower bound)" l_cost
-               (rereads +. rows))
-            local
-        else
-          let shared =
-            measured (fun () -> with_common ~common_fields common left right Logical.C_union)
-          in
-          let s_cost = total_cost (snd shared) +. rereads in
-          if s_cost <= l_cost then
-            pick (Printf.sprintf "shared, est. cost %.0f <= branch-local %.0f" s_cost l_cost) shared
-          else
-            pick (Printf.sprintf "branch-local, est. cost %.0f < shared %.0f" l_cost s_cost) local
-      | _ -> with_common ~common_fields common left right Logical.C_union
-    end
     | Logical.With_common { common; left; right; combine } ->
-      with_common ~common_fields common left right combine
+      let common_phys = to_phys_c common in
+      let cf = Physical.output_fields common_phys in
+      Physical.With_common
+        {
+          common = common_phys;
+          left = to_phys ~common_fields:cf left;
+          right = to_phys ~common_fields:cf right;
+          combine;
+        }
     | Logical.Select (x, e) -> Physical.Select (to_phys_c x, e)
     | Logical.Project (x, ps) -> Physical.Project (to_phys_c x, ps)
     | Logical.Join { left; right; keys; kind } ->
@@ -473,16 +399,6 @@ let plan config gq logical =
           phys
           (Plan_narrow.distinct_components schema patterns aliases)
       else Physical.All_distinct (phys, aliases)
-  and with_common ~common_fields common left right combine =
-    let common_phys = to_phys ~common_fields common in
-    let cf = Physical.output_fields common_phys in
-    Physical.With_common
-      {
-        common = common_phys;
-        left = to_phys ~common_fields:cf left;
-        right = to_phys ~common_fields:cf right;
-        combine;
-      }
   in
   let phys =
     Plan_narrow.narrow ~sink:config.enable_type_inference ~trim:config.enable_field_trim
@@ -493,7 +409,7 @@ let plan config gq logical =
     {
       logical_input = logical;
       logical_optimized = l2;
-      rules_applied = rules_applied @ List.rev !choices;
+      rules_applied;
       invalid_patterns;
       search_stats = List.rev !search_stats;
       est_costs = List.rev !est_costs;

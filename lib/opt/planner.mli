@@ -9,7 +9,11 @@
 type config = {
   spec : Physical_spec.t;  (** Backend operator/cost registration. *)
   enable_rbo : bool;
-  rules : Rule.t list;  (** Rules used when [enable_rbo]. *)
+  rules : Rule.t list;
+      (** Rules used when [enable_rbo]. With [enable_cbo], ComSubPattern
+          ({!Rules_pattern.com_sub_pattern}) is left out: the CBO plans each
+          UNION branch whole, from the branch's own anchor, instead of one
+          shared common pattern that no branch's filter reaches. *)
   enable_field_trim : bool;  (** The FieldTrim whole-plan pass. *)
   enable_type_inference : bool;
   inference_schema : Gopt_graph.Schema.t option;
@@ -49,17 +53,11 @@ type report = {
   logical_input : Gopt_gir.Logical.t;
   logical_optimized : Gopt_gir.Logical.t;  (** After RBO + type inference. *)
   rules_applied : string list;
-      (** RBO rule firings in order; then, with the CBO on, one entry per
-          ComSubPattern UNION naming the form lowered (["ComSubPattern:
-          branch-local, ..."] or ["ComSubPattern: shared, ..."]) with both
-          forms' estimated costs. *)
   invalid_patterns : int;
       (** Patterns proven unsatisfiable by type inference (compiled to
           Empty). *)
-  search_stats : Cbo.search_stats list;
-      (** One entry per CBO-planned pattern of the plan lowered (of a
-          ComSubPattern UNION, the chosen form's only). *)
-  est_costs : float list;  (** Estimated cost per pattern in [search_stats]. *)
+  search_stats : Cbo.search_stats list;  (** One entry per CBO-planned pattern. *)
+  est_costs : float list;  (** Estimated cost per CBO-planned pattern. *)
   diagnostics : (string * Gopt_check.Diagnostic.t list) list;
       (** Per-stage verifier output when [config.check_plans]: ["logical"],
           ["rbo"], ["optimized"] (both after {!Gopt_check.Plan_check}) and
@@ -82,10 +80,7 @@ val compile_continuation :
   Physical.t ->
   Gopt_pattern.Pattern.t ->
   bound:string list ->
-  Physical.t * float
+  Physical.t
 (** Extend rows that already bind [bound] vertex aliases to full matches of
     the pattern, choosing the expansion order greedily by estimated
-    cardinality. Used for [Pattern_cont] (ComSubPattern continuations).
-    The float is the steps' estimated cost in the CBO's terms: each step's
-    estimated result rows plus the spec's expand cost, as {!Cbo} charges an
-    expansion. *)
+    cardinality. Used for [Pattern_cont] (ComSubPattern continuations). *)
