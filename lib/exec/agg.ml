@@ -1,5 +1,8 @@
-(* Aggregate accumulators and row-key hashing shared by the pipelined engine
-   and the materialized reference engine. *)
+(* Aggregate accumulators shared by the pipelined engine and the
+   materialized reference engine, and the reference engine's row keys: an
+   [Rval.t list] per row ([Key]/[KeyTbl]). The pipelined engine keys its
+   breakers on columns ([Breaker.Keys]) and keeps its count(DISTINCT) sets
+   itself ([Breaker.Distinct]), so [a_distinct] is the reference engine's. *)
 
 module Value = Gopt_graph.Value
 module Logical = Gopt_gir.Logical

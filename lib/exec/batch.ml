@@ -245,6 +245,17 @@ let gather t j rows n =
   | C_boxed a -> D_boxed (Array.init n (fun i -> a.(phys_of t rows.(i))))
   | C_empty -> invalid_arg "Batch.gather: empty column"
 
+let compact t j =
+  let n = n_rows t in
+  let ints (a : int array) =
+    match t.sel with None -> Array.sub a 0 n | Some s -> Array.init n (fun i -> a.(s.(i)))
+  in
+  match t.cols.(j) with
+  | C_vertex a -> D_vertex (ints a)
+  | C_edge a -> D_edge (ints a)
+  | C_boxed a -> D_boxed (Array.init n (fun i -> a.(phys_of t i)))
+  | C_empty -> D_boxed [||]
+
 let of_data field_list n data =
   let t = create field_list in
   if Array.length data <> t.width then

@@ -15,9 +15,10 @@
     views; {!add} applies only to freshly {!create}d batches.
 
     The row-oriented API ({!row}, {!iter}) is preserved for operators that
-    genuinely need row-at-a-time processing (path expansion, computed
-    projections, keyed grouping): it materializes row arrays on demand. Vectorized kernels instead read the
-    physical columns directly via {!col} and index them through
+    genuinely need row-at-a-time processing (path expansion, UNWIND,
+    ORDER BY, the reference engine): it materializes row arrays on demand.
+    Vectorized kernels, the breakers' key tables and projections instead
+    read the physical columns directly via {!col} and index them through
     {!selection}. *)
 
 type t
@@ -111,6 +112,10 @@ val gather : t -> int -> int array -> int -> data
     vertex or edge column stays dense. The hash join gathers its output
     chunk's probe-side columns this way, and the expansions their input
     columns. *)
+
+val compact : t -> int -> data
+(** [compact b j] copies column [j]'s cells, in logical order, into fresh
+    storage of the same kind: a projected variable's column. *)
 
 val of_data : string list -> int -> data array -> t
 (** [of_data fields n cols] is a fresh batch of [n] rows whose column [j]

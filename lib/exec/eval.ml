@@ -311,3 +311,49 @@ let compile g ~fields e =
     | _ -> None
   in
   build e
+
+(* --- column evaluation ----------------------------------------------------- *)
+
+(* [column g ~fields e] evaluates [e] over a whole chunk into a fresh
+   column, one cell per logical row, each the value [eval_rval] gives. A
+   bound variable copies its column (a dense id column stays dense); a
+   property of a bound tag reads the graph's property column through the
+   dense ids in one loop; any other expression runs through the row
+   interpreter. An absent property is [Rval Null]. *)
+let column g ~fields e =
+  let layout = Batch.create fields in
+  let null = Rval.Rval Value.Null in
+  let cells chunk f =
+    let sel = Batch.selection chunk in
+    Batch.D_boxed
+      (Array.init (Batch.n_rows chunk) (fun i -> f i (match sel with Some s -> s.(i) | None -> i)))
+  in
+  let boxed (col : Value.t array option) x =
+    match col with
+    | None -> null
+    | Some col -> ( match col.(x) with Value.Null -> null | v -> Rval.Rval v)
+  in
+  match e with
+  | Expr.Var tag -> (
+    match Batch.pos_opt layout tag with
+    | Some j -> fun chunk -> Batch.compact chunk j
+    | None -> fun chunk -> Batch.D_boxed (Array.make (Batch.n_rows chunk) Rval.Rnull))
+  | Expr.Prop (tag, key) -> (
+    match Batch.pos_opt layout tag with
+    | None -> fun chunk -> Batch.D_boxed (Array.make (Batch.n_rows chunk) null)
+    | Some j -> (
+      fun chunk ->
+        match Batch.col chunk j with
+        | Batch.D_vertex ids ->
+          let col = G.vprop_column g key in
+          cells chunk (fun _ p -> boxed col ids.(p))
+        | Batch.D_edge ids ->
+          let col = G.eprop_column g key in
+          cells chunk (fun _ p -> boxed col ids.(p))
+        | Batch.D_boxed vals ->
+          cells chunk (fun _ p ->
+              match vals.(p) with
+              | Rval.Rvertex v -> boxed (G.vprop_column g key) v
+              | Rval.Redge x -> boxed (G.eprop_column g key) x
+              | _ -> null)))
+  | e -> fun chunk -> cells chunk (fun i _ -> eval_rval g (Batch.lookup chunk i) e)

@@ -58,3 +58,20 @@ val run_kernel : kernel -> Batch.t -> int array -> int array
 val vectorized : kernel -> bool
 (** Whether at least part of the kernel runs as a specialized column loop
     (drives the [rows_selected]/[kernel_ns] trace counters). *)
+
+(** {1 Column evaluation} *)
+
+val column :
+  Gopt_graph.Property_graph.t ->
+  fields:string list ->
+  Gopt_pattern.Expr.t ->
+  Batch.t ->
+  Batch.data
+(** [column g ~fields e] compiles [e] against the given chunk layout into
+    a function from a chunk to [e]'s value on each of its logical rows, as
+    fresh storage indexed by logical row: the value {!eval_rval} gives per
+    row. A bound variable copies its column, so dense ids stay dense; a
+    property of a bound tag ([v.id]) is read from the graph's property
+    column through the dense ids in one loop, an absent one as
+    [Rval Null]; any other expression runs through the row interpreter.
+    Computed projections and computed grouping keys use it. *)

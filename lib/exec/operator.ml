@@ -20,8 +20,9 @@
    columns stay dense; their predicates run as compiled kernels, before the
    gather when they read only the new columns. ExpandIntersect caches each
    step's sorted neighbour list per anchor in an int-keyed table and probes
-   the lists by binary search. PathExpand, a computed Project and Unfold
-   still work a row at a time.
+   the lists by binary search. A computed Project fills each item's column
+   in one pass, reading a property through the graph's property column
+   ([Eval.column]). PathExpand and Unfold still work a row at a time.
 
    Stop protocol: a consumer that wants no more rows (a satisfied LIMIT)
    answers [false] to [k_alive]; the next emitter to flush raises the
@@ -624,10 +625,13 @@ let compile ctx frag consumer =
             tr.Op_trace.rows_selected <- tr.Op_trace.rows_selected + n;
             emit_chunk out)
       | None ->
-        unary fields (fun emit row ->
-            tick ();
-            let lk = Eval.lookup_of_row child_layout row in
-            emit (Array.of_list (List.map (fun (e, _) -> Eval.eval_rval g lk e) ps)))
+        (* each item's column in one pass ([Eval.column]) *)
+        let items = List.map (fun (e, _) -> Eval.column g ~fields:child_fields e) ps in
+        chunked fields (fun emit_chunk chunk ->
+            let n = Batch.n_rows chunk in
+            tick_n ctx n;
+            emit_chunk
+              (Batch.of_data fields n (Array.of_list (List.map (fun item -> item chunk) items))))
     end
     | Op (Physical.Unfold (x, e, alias)) ->
       let child_fields = Physical.output_fields x in
@@ -644,49 +648,21 @@ let compile ctx frag consumer =
     | Op (Physical.All_distinct (x, distinct_fields)) ->
       let fields = Physical.output_fields x in
       let layout = Batch.create fields in
-      let positions = List.map (Batch.pos layout) distinct_fields in
-      (* the edge ids of one row, compared pairwise in place: a dense edge
-         column gives one id, a path cell all of its edges *)
-      let ids = ref (Array.make 16 0) and m = ref 0 in
-      let push e =
-        if !m = Array.length !ids then begin
-          let bigger = Array.make (2 * !m) 0 in
-          Array.blit !ids 0 bigger 0 !m;
-          ids := bigger
-        end;
-        !ids.(!m) <- e;
-        incr m
-      in
-      let distinct () =
-        let a = !ids and n = !m in
-        let ok = ref true and i = ref 0 in
-        while !ok && !i < n do
-          for j = !i + 1 to n - 1 do
-            if a.(j) = a.(!i) then ok := false
-          done;
-          incr i
-        done;
-        !ok
-      in
+      let positions = Array.of_list (List.map (Batch.pos layout) distinct_fields) in
+      let ids = Breaker.Edge_ids.create () in
       chunked fields (fun emit_chunk chunk ->
           let n = Batch.n_rows chunk in
           tick_n ctx n;
-          let cols = Array.of_list (List.map (Batch.col chunk) positions) in
+          let cols = Array.map (Batch.col chunk) positions in
           let sel = Batch.selection chunk in
           let keep = Array.make n 0 and k = ref 0 in
           for i = 0 to n - 1 do
             let p = match sel with Some s -> s.(i) | None -> i in
-            m := 0;
+            Breaker.Edge_ids.clear ids;
             for c = 0 to Array.length cols - 1 do
-              match cols.(c) with
-              | Batch.D_edge a -> push a.(p)
-              | Batch.D_vertex _ -> ()
-              | Batch.D_boxed a -> (
-                match a.(p) with
-                | Rval.Redge e -> push e
-                | v -> List.iter push (Rval.edge_ids v))
+              Breaker.Edge_ids.add_cell ids cols.(c) p
             done;
-            if distinct () then begin
+            if Breaker.Edge_ids.distinct ids then begin
               keep.(!k) <- i;
               incr k
             end

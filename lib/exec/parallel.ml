@@ -81,6 +81,25 @@ let rec drop n = function
     else if r <= n then drop (n - r) rest
     else Batch.sub b ~pos:n ~len:(r - n) :: rest
 
+(* A keyless Group whose aggregates fold into the probe of the inner
+   HashJoin under zero or more AllDistincts ([Breaker.Probe_agg]): the
+   AllDistincts with their fields, top first, the join, and its inputs and
+   keys. *)
+let probe_agg ks aggs (x : Physical.t) =
+  let rec chain (p : Physical.t) =
+    match p with
+    | Physical.All_distinct (y, fs) ->
+      Option.map (fun (ads, j) -> ((p, fs) :: ads, j)) (chain y)
+    | Physical.Hash_join { left; right; keys; kind = Logical.Inner } ->
+      Some ([], (p, left, right, keys))
+    | _ -> None
+  in
+  match ks, chain x with
+  | [], Some (ads, ((join, _, _, _) as j))
+    when Breaker.Probe_agg.supports ~fields:(Physical.output_fields join) aggs ->
+    Some (ads, j)
+  | _ -> None
+
 let run ?(profile = Op_trace.graphscope_profile) ?budget
     ?(chunk_size = Operator.default_chunk_size) ~workers g plan =
   if workers < 1 then invalid_arg "Parallel.run: workers must be >= 1";
@@ -115,11 +134,13 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
      node). [size] is the number of rows a state holds, [width] their field
      count (for exchange accounting). Returns the states in morsel order
      (never none) and the trace node the consumer's input hangs under.
+     [count_in] false leaves [node]'s rows-in to the caller.
      [alive] lets a state refuse further rows, ending its morsel early;
      [enough] stops claiming morsels once the completed prefix of morsels
      holds that many rows (morsels are claimed in index order, so every
      skipped one lies beyond it). *)
-  let stage ?node ?(alive = fun _ -> true) ?enough ~width (s : src) ~init ~add ~size =
+  let stage ?node ?(count_in = true) ?(alive = fun _ -> true) ?enough ~width (s : src) ~init
+      ~add ~size =
     let frags = Array.of_list (List.map fst s.s_branches) in
     let morsels =
       Array.of_list
@@ -182,7 +203,7 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
         | Some tr ->
           fun chunk ->
             Op_trace.timed ctx.Operator.clock tr (fun () ->
-                tr.Op_trace.rows_in <- tr.Op_trace.rows_in + Batch.n_rows chunk;
+                if count_in then tr.Op_trace.rows_in <- tr.Op_trace.rows_in + Batch.n_rows chunk;
                 add wst (state ()) chunk)
       in
       let consumer =
@@ -485,30 +506,91 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
           Breaker.Join.index jc)
     in
     (table, kid)
+  (* a Group [tr] folded into the probe of [join] through the AllDistincts
+     [ads]: the join builds as usual and its probe side streams into
+     per-morsel [Breaker.Probe_agg] states. The trace keeps the plan's
+     shape; the join and the AllDistincts are charged, after the merge,
+     the rows they would have passed on, and the fold's time is the
+     Group's. *)
+  and group_in_probe env tr ~width ~finish aggs ads (join, left, right, keys) =
+    let jtr = node join in
+    let table, build_tr =
+      build env jtr right ~left_fields:(Physical.output_fields left) ~keys ~kind:Logical.Inner
+    in
+    let sl = psource env left in
+    jtr.Op_trace.children <- [ sl.s_node; build_tr ];
+    let lowest_first = List.rev ads in
+    let top, ad_trs =
+      List.fold_left
+        (fun (below, trs) (ad, _) ->
+          let t = node ad in
+          t.Op_trace.children <- [ below ];
+          (t, t :: trs))
+        (jtr, []) lowest_first
+    in
+    let s = { sl with s_node = top; s_held = sl.s_held + Breaker.Join.rows table } in
+    let groups states =
+      List.fold_left (fun n pa -> n + Breaker.Group.length pa.Breaker.Probe_agg.group) 0 states
+    in
+    let states, kid =
+      stage ~node:tr ~count_in:false ~width s
+        ~init:(fun () ->
+          Breaker.Probe_agg.create g table ~levels:(List.map snd lowest_first) aggs)
+        ~add:(fun wst pa chunk ->
+          Op_trace.live_add wst (Breaker.Probe_agg.add pa ~check chunk))
+        ~size:(fun pa -> groups [ pa ])
+    in
+    tr.Op_trace.children <- [ kid ];
+    let held = groups states in
+    Op_trace.timed clk tr (fun () ->
+        let pa = List.hd states in
+        List.iter (Breaker.Probe_agg.merge pa) (List.tl states);
+        let jwidth = List.length (Breaker.Join.out_fields table) in
+        let passed rows_in (t : Op_trace.t) n =
+          t.Op_trace.rows_in <- t.Op_trace.rows_in + rows_in;
+          t.Op_trace.rows_out <- t.Op_trace.rows_out + n;
+          Op_trace.count_rows profile st ~width:jwidth n;
+          n
+        in
+        let out = passed pa.Breaker.Probe_agg.probe_rows jtr pa.Breaker.Probe_agg.pairs in
+        let out =
+          List.fold_left2 passed out (List.rev ad_trs)
+            (Array.to_list pa.Breaker.Probe_agg.passed)
+        in
+        tr.Op_trace.rows_in <- tr.Op_trace.rows_in + out;
+        finish held pa.Breaker.Probe_agg.group)
   (* [exec env p] evaluates [p] to its output parts and trace node *)
   and exec env (p : Physical.t) : Batch.t list * Op_trace.t =
     let sum size states = List.fold_left (fun n x -> n + size x) 0 states in
     match p with
-    | Physical.Group (x, ks, aggs) ->
-      let s = psource env x in
+    | Physical.Group (x, ks, aggs) -> begin
       let tr = node p in
       let fields = Breaker.Group.out_fields ks aggs in
-      let tables, kid =
-        stage ~node:tr ~width:(List.length fields) s
-          ~init:(fun () -> Breaker.Group.create g ~fields:s.s_fields ks aggs)
-          ~add:(fun wst grp chunk ->
-            Op_trace.live_add wst (Breaker.Group.add_chunk grp chunk))
-          ~size:Breaker.Group.length
-      in
-      tr.Op_trace.children <- [ kid ];
-      let held = sum Breaker.Group.length tables in
+      let width = List.length fields in
       (* partial tables fold in morsel order: keys keep first sighting *)
-      Op_trace.timed clk tr (fun () ->
-          let grp = List.hd tables in
-          List.iter (Breaker.Group.merge grp) (List.tl tables);
-          let out = Batch.create fields in
-          Breaker.Group.finish grp (Batch.add out);
-          settle tr ~held [ out ])
+      let finish held grp =
+        let out = Batch.create fields in
+        Breaker.Group.finish grp (Batch.add out);
+        settle tr ~held [ out ]
+      in
+      match probe_agg ks aggs x with
+      | Some (ads, join) -> group_in_probe env tr ~width ~finish aggs ads join
+      | None ->
+        let s = psource env x in
+        let tables, kid =
+          stage ~node:tr ~width s
+            ~init:(fun () -> Breaker.Group.create g ~fields:s.s_fields ks aggs)
+            ~add:(fun wst grp chunk ->
+              Op_trace.live_add wst (Breaker.Group.add_chunk grp chunk))
+            ~size:Breaker.Group.length
+        in
+        tr.Op_trace.children <- [ kid ];
+        let held = sum Breaker.Group.length tables in
+        Op_trace.timed clk tr (fun () ->
+            let grp = List.hd tables in
+            List.iter (Breaker.Group.merge grp) (List.tl tables);
+            finish held grp)
+    end
     | Physical.Order (x, ks, lim) ->
       let s = psource env x in
       let tr = node p in
@@ -535,29 +617,30 @@ let run ?(profile = Op_trace.graphscope_profile) ?budget
     | Physical.Dedup (x, tags) ->
       let s = psource env x in
       let tr = node p in
-      let keep seen out row = if Breaker.Dedup.add seen row then Batch.add out row in
+      let create () = Breaker.Dedup.create ~fields:s.s_fields tags in
       let states, kid =
-        stage ~node:tr ~width:(List.length s.s_fields) s
-          ~init:(fun () ->
-            (Breaker.Dedup.create ~fields:s.s_fields tags, Batch.create s.s_fields))
-          ~add:(fun wst (seen, out) chunk ->
-            let before = Batch.n_rows out in
-            Batch.iter (keep seen out) chunk;
-            Op_trace.live_add wst (Batch.n_rows out - before))
-          ~size:(fun (_, out) -> Batch.n_rows out)
+        stage ~node:tr ~width:(List.length s.s_fields) s ~init:create
+          ~add:(fun wst d chunk -> Op_trace.live_add wst (Breaker.Dedup.add_chunk d chunk))
+          ~size:Breaker.Dedup.length
       in
       tr.Op_trace.children <- [ kid ];
-      let held = sum (fun (_, out) -> Batch.n_rows out) states in
+      let held = sum Breaker.Dedup.length states in
       Op_trace.timed clk tr (fun () ->
-          match states with
-          | [ (_, out) ] -> settle tr ~held [ out ]
-          | states ->
-            (* re-filter each morsel's local survivors against one global
-               seen-set *)
-            let seen = Breaker.Dedup.create ~fields:s.s_fields tags in
-            let out = Batch.create s.s_fields in
-            List.iter (fun (_, part) -> Batch.iter (keep seen out) part) states;
-            settle tr ~held [ out ])
+          let d =
+            match states with
+            | [ d ] -> d
+            | states ->
+              (* re-filter each morsel's local survivors against one global
+                 key table *)
+              let d = create () in
+              List.iter
+                (fun part ->
+                  Breaker.Dedup.parts part
+                  |> List.iter (fun b -> ignore (Breaker.Dedup.add_chunk d b)))
+                states;
+              d
+          in
+          settle tr ~held [ Batch.concat s.s_fields (Breaker.Dedup.parts d) ])
     | Physical.Limit (x, n) ->
       let s = psource env x in
       let tr = node p in

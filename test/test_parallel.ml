@@ -346,6 +346,330 @@ let test_join_output_streams () =
         js)
     [ 1; 4 ]
 
+(* ---- the probe aggregate ----------------------------------------------
+
+   A keyless Group of count( * ) and count(DISTINCT v) over AllDistincts
+   over an inner HashJoin folds into the join's probe. Hand-built plans
+   over [big_graph] cover both sides of the pair, dense and boxed columns,
+   path cells and the shapes that keep the general path; every one must
+   give the oracle's bag at every worker count and chunk size, and the
+   folded run must charge the join and the AllDistincts the rows they
+   pass on when their subplan runs alone. *)
+module Logical = Gopt_gir.Logical
+module Expr = Gopt_pattern.Expr
+
+let scan_person a = Physical.Scan { alias = a; con = Tc.Basic person; pred = None }
+
+let knows_step ?hops ?e from alias =
+  {
+    Physical.s_edge =
+      pe ~directed:false ?hops (Option.value e ~default:("e" ^ alias)) 0 1 (Tc.Basic knows);
+    s_from = from;
+    s_to = alias;
+    s_forward = true;
+    s_to_con = Tc.Basic person;
+    s_to_pred = None;
+  }
+
+(* from-[e]-alias over KNOWS, one hop or a path of 1..2 hops *)
+let hop ?e from alias = Physical.Expand_all (scan_person from, knows_step ?e from alias)
+let path from alias = Physical.Path_expand (scan_person from, knows_step ~hops:(1, 2) from alias)
+
+let older_than tag age x =
+  Physical.Select (x, Expr.Binop (Expr.Gt, Expr.Prop (tag, "age"), Expr.Const (Value.Int age)))
+
+let join ?(kind = Logical.Inner) keys left right = Physical.Hash_join { left; right; keys; kind }
+let ad fields x = Physical.All_distinct (x, fields)
+let count = { Logical.agg_fn = Logical.Count; agg_arg = None; agg_alias = "c" }
+
+let count_distinct v =
+  { Logical.agg_fn = Logical.Count_distinct; agg_arg = Some (Expr.Var v); agg_alias = "d_" ^ v }
+
+let two_hop = join [ "f" ] (hop "p" "f") (hop "f" "g")
+let three_hop = join [ "g" ] two_hop (hop "g" "h")
+
+(* p, ef, f with f and ef padded to Rnull for persons without a friend
+   over 45: the columns are promoted to boxed *)
+let outer =
+  join ~kind:Logical.Left_outer [ "p" ] (scan_person "p") (older_than "f" 45 (hop "p" "f"))
+
+(* (name, input, aggregates, whether the Group folds into the probe) *)
+let probe_agg_cases =
+  [
+    ("count, no AllDistinct", two_hop, [ count ], true);
+    ( "DISTINCT build side, one AllDistinct",
+      ad [ "ef"; "eg" ] two_hop,
+      [ count; count_distinct "g" ],
+      true );
+    ( "DISTINCT probe side, two AllDistincts",
+      ad [ "eg"; "eh" ] (ad [ "ef"; "eg" ] three_hop),
+      [ count_distinct "p"; count ],
+      true );
+    ( "DISTINCT of a build-side edge",
+      ad [ "ef"; "eg"; "eh" ] three_hop,
+      [ count_distinct "eh" ],
+      true );
+    ( "promoted key on the probe side",
+      join [ "f" ] outer (hop "f" "g"),
+      [ count; count_distinct "f"; count_distinct "ef" ],
+      true );
+    ( "promoted key and cells on the build side",
+      ad [ "eg"; "ef" ] (join [ "f" ] (hop "f" "g") outer),
+      [ count; count_distinct "ef"; count_distinct "p" ],
+      true );
+    ( "path cell on the probe side",
+      ad [ "ef"; "eg" ] (join [ "f" ] (path "p" "f") (hop "f" "g")),
+      [ count; count_distinct "g" ],
+      true );
+    ( "path cell on the build side",
+      ad [ "eg"; "ef" ] (join [ "f" ] (hop ~e:"eg" "g" "f") (path "p" "f")),
+      [ count; count_distinct "p" ],
+      true );
+    ( "Left_outer join",
+      join ~kind:Logical.Left_outer [ "f" ] (hop "p" "f") (older_than "g" 45 (hop "f" "g")),
+      [ count; count_distinct "g" ],
+      false );
+    ( "Semi join",
+      join ~kind:Logical.Semi [ "f" ] (hop "p" "f") (older_than "g" 45 (hop "f" "g")),
+      [ count ],
+      false );
+    ( "Anti join",
+      join ~kind:Logical.Anti [ "f" ] (hop "p" "f") (older_than "g" 45 (hop "f" "g")),
+      [ count; count_distinct "p" ],
+      false );
+    ( "count of a variable",
+      ad [ "ef"; "eg" ] two_hop,
+      [ { Logical.agg_fn = Logical.Count; agg_arg = Some (Expr.Var "g"); agg_alias = "n" } ],
+      false );
+  ]
+
+let test_probe_agg_oracle () =
+  let check name physical =
+    let want = canon_rows (fst (Engine.run_materialized big_graph physical)) in
+    let first = ref None in
+    List.iter
+      (fun chunk_size ->
+        List.iter
+          (fun workers ->
+            let b, _ = Engine.run ~workers ~chunk_size big_graph physical in
+            let label = Printf.sprintf "%s (workers %d, chunk %d)" name workers chunk_size in
+            Alcotest.(check bool)
+              (label ^ ": same bag as oracle")
+              true
+              (List.equal (List.equal Rval.equal) want (canon_rows b));
+            match !first with
+            | None -> first := Some (render big_graph b)
+            | Some r ->
+              Alcotest.(check string) (label ^ ": same rows and order") r (render big_graph b))
+          [ 1; 2; 3; 4 ])
+      [ 1; 3; 1024 ]
+  in
+  List.iter
+    (fun (name, input, aggs, folds) ->
+      Alcotest.(check bool)
+        (name ^ ": folds into the probe")
+        folds
+        (Option.is_some (Gopt_exec.Parallel.probe_agg [] aggs input));
+      check name (Physical.Group (input, [], aggs));
+      (* a keyed Group over the same input takes the general path *)
+      check (name ^ ", keyed") (Physical.Group (input, [ (Expr.Var "f", "k") ], aggs)))
+    probe_agg_cases
+
+(* each operator's rows in and out, preorder *)
+let rec trace_rows (tr : Op_trace.t) =
+  (tr.Op_trace.name, tr.Op_trace.rows_in, tr.Op_trace.rows_out)
+  :: List.concat_map trace_rows tr.Op_trace.children
+
+let test_probe_agg_accounting () =
+  List.iter
+    (fun (name, input, aggs, folds) ->
+      if folds then
+        List.iter
+          (fun chunk_size ->
+            let trace st = trace_rows (Option.get st.Engine.op_trace) in
+            let _, alone = Engine.run ~chunk_size big_graph input in
+            let _, grouped = Engine.run ~chunk_size big_graph (Physical.Group (input, [], aggs)) in
+            let label = Printf.sprintf "%s (chunk %d)" name chunk_size in
+            let _, _, rows_out = List.hd (trace alone) in
+            (match trace grouped with
+            | (_, group_in, 1) :: below ->
+              Alcotest.(check int) (label ^ ": Group rows in") rows_out group_in;
+              Alcotest.(check (list (triple string int int)))
+                (label ^ ": rows below the Group")
+                (trace alone) below
+            | _ -> Alcotest.failf "%s: no Group on top of the trace" label);
+            let n_aggs = List.length aggs in
+            Alcotest.(check int) (label ^ ": intermediate rows")
+              (alone.Engine.intermediate_rows + 1) grouped.Engine.intermediate_rows;
+            Alcotest.(check int) (label ^ ": comm cells")
+              (alone.Engine.comm_cells + n_aggs) grouped.Engine.comm_cells;
+            Alcotest.(check int) (label ^ ": edges touched") alone.Engine.edges_touched
+              grouped.Engine.edges_touched)
+          [ 1; 3; 1024 ])
+    probe_agg_cases
+
+(* ---- the column key table ---------------------------------------------
+
+   Keyed Group, Dedup and count(DISTINCT) key on column cells through
+   [Breaker.Keys]. Without a join in the plan the oracle's row order is the
+   engine's, so first-sighting order is checked exactly. *)
+module Breaker = Gopt_exec.Breaker
+
+let test_key_order () =
+  let hop_pf = hop "p" "f" in
+  let plans =
+    [
+      ( "group by a property",
+        Physical.Group
+          (hop_pf, [ (Expr.Prop ("f", "name"), "n") ], [ count; count_distinct "p" ]) );
+      ( "group by a vertex and a property",
+        Physical.Group
+          (hop_pf, [ (Expr.Var "f", "f"); (Expr.Prop ("p", "age"), "a") ], [ count ]) );
+      ( "dedup of computed columns",
+        Physical.Dedup
+          ( Physical.Project
+              (hop_pf, [ (Expr.Prop ("p", "name"), "a"); (Expr.Prop ("f", "name"), "b") ]),
+            [] ) );
+      ("dedup on a vertex", Physical.Dedup (hop_pf, [ "f" ]));
+      ("dedup over promoted columns", Physical.Dedup (outer, [ "f" ]));
+    ]
+  in
+  List.iter
+    (fun (name, physical) ->
+      let want = render big_graph (fst (Engine.run_materialized big_graph physical)) in
+      List.iter
+        (fun chunk_size ->
+          List.iter
+            (fun workers ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s (workers %d, chunk %d)" name workers chunk_size)
+                want
+                (render big_graph (fst (Engine.run ~workers ~chunk_size big_graph physical))))
+            [ 1; 2; 3; 4 ])
+        [ 1; 3; 16 ])
+    plans
+
+(* A computed Project fills its columns from the graph's property columns:
+   the cells equal the row interpreter's, over dense and promoted columns,
+   and an absent property or a property of an [Rnull] cell is [Rval Null],
+   never [Rnull]. *)
+let test_project_columns () =
+  let items =
+    [
+      (Expr.Var "f", "f");
+      (Expr.Prop ("f", "age"), "a");
+      (Expr.Prop ("ef", "since"), "s");
+      (Expr.Prop ("p", "no_such_key"), "z");
+      (Expr.Binop (Expr.Add, Expr.Prop ("p", "age"), Expr.Const (Value.Int 1)), "b");
+    ]
+  in
+  List.iter
+    (fun (name, input) ->
+      let physical = Physical.Project (input, items) in
+      let want = canon_rows (fst (Engine.run_materialized big_graph physical)) in
+      List.iter
+        (fun (workers, chunk_size) ->
+          let b, _ = Engine.run ~workers ~chunk_size big_graph physical in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s (workers %d, chunk %d)" name workers chunk_size)
+            true
+            (List.equal (List.equal Rval.equal) want (canon_rows b));
+          Batch.iter
+            (fun row ->
+              if row.(3) <> Rval.Rval Value.Null then
+                Alcotest.failf "%s: absent property is not Rval Null" name)
+            b)
+        [ (1, 1); (2, 3); (4, 1024) ])
+    [ ("dense columns", hop "p" "f"); ("promoted columns", outer) ]
+
+(* which cells are one key: a boxed vertex and the dense id, an Int and the
+   equal Float; not Rnull and Rval Null *)
+let test_key_cells () =
+  let key cells =
+    let t = Breaker.Keys.create 1 in
+    List.map
+      (fun (d, p) ->
+        Breaker.Keys.load t 0 d p;
+        Breaker.Keys.intern t)
+      cells
+  in
+  let boxed vs = Batch.D_boxed (Array.of_list vs) in
+  Alcotest.(check (list int)) "Rvertex x = dense x" [ 0; 1; 0 ]
+    (key
+       [
+         (Batch.D_vertex [| 5; 6 |], 0);
+         (Batch.D_vertex [| 5; 6 |], 1);
+         (boxed [ Rval.Rvertex 5 ], 0);
+       ]);
+  Alcotest.(check (list int)) "a vertex is not the edge of the same id" [ 0; 1 ]
+    (key [ (Batch.D_vertex [| 5 |], 0); (Batch.D_edge [| 5 |], 0) ]);
+  Alcotest.(check (list int)) "Int 1 = Float 1.0" [ 0; 0; 1 ]
+    (key
+       [
+         (boxed [ Rval.Rval (Value.Int 1) ], 0);
+         (boxed [ Rval.Rval (Value.Float 1.0) ], 0);
+         (boxed [ Rval.Rval (Value.Float 1.5) ], 0);
+       ]);
+  Alcotest.(check (list int)) "Rnull <> Rval Null" [ 0; 1; 0 ]
+    (key
+       [
+         (boxed [ Rval.Rnull ], 0); (boxed [ Rval.Rval Value.Null ], 0); (boxed [ Rval.Rnull ], 0);
+       ]);
+  (* Dedup over chunks of each kind keeps each chunk's first sightings *)
+  let d = Breaker.Dedup.create ~fields:[ "x" ] [] in
+  let chunk vs = Batch.of_rows [ "x" ] (List.map (fun v -> [| v |]) vs) in
+  let kept =
+    List.map (Breaker.Dedup.add_chunk d)
+      [
+        chunk [ Rval.Rvertex 1; Rval.Rvertex 2 ];
+        chunk [ Rval.Rvertex 2; Rval.Rnull ];
+        chunk
+          [
+            Rval.Rval (Value.Int 1); Rval.Rval (Value.Float 1.0); Rval.Rval Value.Null; Rval.Rnull;
+          ];
+      ]
+  in
+  Alcotest.(check (list int)) "survivors per chunk" [ 2; 1; 2 ] kept;
+  Alcotest.(check (list string)) "survivors in order"
+    [ "(Person#1)"; "(Person#2)"; "null"; "1"; "null" ]
+    (List.concat_map
+       (fun b ->
+         List.init (Batch.n_rows b) (fun i ->
+             Format.asprintf "%a" (Rval.pp big_graph) (Batch.get b i 0)))
+       (Breaker.Dedup.parts d));
+  (* count(DISTINCT) over the same cells *)
+  let grp = Breaker.Group.create big_graph ~fields:[ "x" ] [] [ count_distinct "x" ] in
+  List.iter
+    (fun b -> ignore (Breaker.Group.add_chunk grp b))
+    [
+      chunk [ Rval.Rvertex 1; Rval.Rvertex 2 ];
+      chunk [ Rval.Rvertex 2; Rval.Rnull ];
+      chunk [ Rval.Rval (Value.Int 1); Rval.Rval (Value.Float 1.0); Rval.Rval Value.Null ];
+    ];
+  let out = ref [] in
+  Breaker.Group.finish grp (fun row -> out := row :: !out);
+  Alcotest.(check (list string)) "count(DISTINCT) skips only Rnull" [ "4" ]
+    (List.map (fun row -> Format.asprintf "%a" (Rval.pp big_graph) row.(0)) !out)
+
+(* a chunk none of whose rows survive is not kept alive by the Dedup *)
+let[@inline never] feed_duplicates d =
+  let dup = Batch.of_rows [ "x" ] [ [| Rval.Rvertex 1 |]; [| Rval.Rval (Value.Str "s") |] ] in
+  (* the chunk's column storage: a view of the chunk would share it *)
+  let w = Weak.create 1 in
+  (match Batch.col dup 0 with Batch.D_boxed cells -> Weak.set w 0 (Some cells) | _ -> ());
+  Alcotest.(check int) "no survivors" 0 (Breaker.Dedup.add_chunk d dup);
+  w
+
+let test_dedup_releases () =
+  let d = Breaker.Dedup.create ~fields:[ "x" ] [] in
+  ignore
+    (Breaker.Dedup.add_chunk d
+       (Batch.of_rows [ "x" ] [ [| Rval.Rvertex 1 |]; [| Rval.Rval (Value.Str "s") |] ]));
+  let w = feed_duplicates d in
+  Gc.full_major ();
+  Alcotest.(check bool) "duplicate chunk's column collected" false (Weak.check w 0);
+  Alcotest.(check int) "kept rows" 2 (Breaker.Dedup.length d)
+
 (* The optimizer oracle: random branching and cyclic patterns, planned with
    and without the type- and field-narrowing passes, give the same bag on
    the materialized engine — over the Fixtures schema and over a slice of
@@ -449,6 +773,18 @@ let () =
           Alcotest.test_case "workload suite" `Quick test_workload_differential;
           Alcotest.test_case "optimizer oracle (200 seeds)" `Quick test_optimizer_oracle;
           Alcotest.test_case "optimizer oracle: shared-chain unions" `Quick test_union_oracle;
+        ] );
+      ( "probe aggregate",
+        [
+          Alcotest.test_case "against the oracle" `Quick test_probe_agg_oracle;
+          Alcotest.test_case "rows charged as unfolded" `Quick test_probe_agg_accounting;
+        ] );
+      ( "key table",
+        [
+          Alcotest.test_case "first-sighting order" `Quick test_key_order;
+          Alcotest.test_case "which cells are one key" `Quick test_key_cells;
+          Alcotest.test_case "projection columns" `Quick test_project_columns;
+          Alcotest.test_case "dedup keeps only survivors" `Quick test_dedup_releases;
         ] );
       ( "determinism",
         [ Alcotest.test_case "10 runs, varying workers" `Quick test_determinism ] );
