@@ -774,7 +774,7 @@ let () =
           Alcotest.test_case "optimizer oracle (200 seeds)" `Quick test_optimizer_oracle;
           Alcotest.test_case "optimizer oracle: shared-chain unions" `Quick test_union_oracle;
         ] );
-      ( "probe aggregate",
+      ( "probe agg",
         [
           Alcotest.test_case "against the oracle" `Quick test_probe_agg_oracle;
           Alcotest.test_case "rows charged as unfolded" `Quick test_probe_agg_accounting;
