@@ -6,12 +6,12 @@
    per-morsel partials merged in morsel order, with the same result, which
    is what makes a one-worker run byte-identical to a run at any worker
    count. The breakers work on whole columnar chunks: the join holds its
-   build chunks as the immutable views they arrived as and indexes them
-   with int arrays (see [Join]); Group, Dedup and count(DISTINCT) key on
-   column cells through [Keys], so a dense vertex or edge id hashes as an
-   int and no per-row key list is built. [Parallel] decides where rows come
-   from and where a breaker's output goes; [Operator] probes an indexed
-   join table. *)
+   build chunks as the immutable views they arrived as (see [Join]). The
+   join, Group, Dedup and count(DISTINCT) key on column cells through one
+   key table, [Keys], so a dense vertex or edge id hashes as an int and no
+   per-row key list is built. [Parallel] decides where rows come from and
+   where a breaker's output goes; [Operator] probes an indexed join
+   table. *)
 
 module G = Gopt_graph.Property_graph
 module Value = Gopt_graph.Value
@@ -26,9 +26,10 @@ let mix x =
 (* A first-sighting key table over column cells. A key is [width] cells,
    staged column by column with [load] and then looked up, and added when
    new, with [intern]; keys are numbered in the order they were first
-   seen. Each cell is kept as an int code: a vertex id [x], from a dense
-   column or a boxed [Rvertex x], is [2x], an edge id [2x + 1], so ids hash
-   and compare as ints whatever column kind carried them. Any other boxed
+   seen. [lookup] finds a row's key in place, without staging it. Each
+   cell is kept as an int code: a vertex id [x], from a dense column or a
+   boxed [Rvertex x], is [2x], an edge id [2x + 1], so ids hash and
+   compare as ints whatever column kind carried them. Any other boxed
    cell has code [-1] and keeps its value, hashed and compared by
    [Rval.hash]/[Rval.equal]: [Rval (Int 1)] and [Rval (Float 1.0)] are one
    key, [Rnull] and [Rval Null] two. The table copies what it keeps, so it
@@ -49,15 +50,25 @@ module Keys = struct
 
   let boxed = -1
 
-  let create width =
-    let cap = 16 in
+  (* the bucket count for [cap] keys: the least power of two, from 16,
+     that holds them *)
+  let buckets cap =
+    let b = ref 16 in
+    while !b < cap do
+      b := 2 * !b
+    done;
+    !b
+
+  (* A table with room for [size] keys before it grows. *)
+  let create ?(size = 16) width =
+    let cap = max 16 size in
     {
       width;
       codes = Array.make (cap * width) 0;
       vals = [||];
       hash = Array.make cap 0;
       next = Array.make cap (-1);
-      heads = Array.make cap (-1);
+      heads = Array.make (buckets cap) (-1);
       n = 0;
       s_code = Array.make width 0;
       s_val = Array.make width Rval.Rnull;
@@ -66,7 +77,7 @@ module Keys = struct
   let length t = t.n
 
   (* the code of cell [p] of column [d] *)
-  let code (d : Batch.data) p =
+  let[@inline] code (d : Batch.data) p =
     match d with
     | Batch.D_vertex a -> 2 * a.(p)
     | Batch.D_edge a -> (2 * a.(p)) + 1
@@ -98,12 +109,18 @@ module Keys = struct
     if Array.length t.vals > 0 then t.vals <- resize t.vals (cap * t.width) Rval.Rnull;
     t.hash <- resize t.hash cap 0;
     t.next <- Array.make cap (-1);
-    t.heads <- Array.make cap (-1);
+    t.heads <- Array.make (buckets cap) (-1);
     for k = 0 to t.n - 1 do
-      let b = t.hash.(k) land (cap - 1) in
+      let b = t.hash.(k) land (Array.length t.heads - 1) in
       t.next.(k) <- t.heads.(b);
       t.heads.(b) <- k
     done
+
+  (* the hash of a cell of code [code], boxed as [v] *)
+  let[@inline] cell_hash code v = if code = boxed then Rval.hash v else mix code
+
+  (* the boxed cell [p] of column [d], [Rnull] for a dense one *)
+  let[@inline] boxed_val (d : Batch.data) p = match d with Batch.D_boxed a -> a.(p) | _ -> Rval.Rnull
 
   (* whether stored key [k] equals the staged key from cell [c] on *)
   let rec same t k c =
@@ -114,20 +131,49 @@ module Keys = struct
     && (code <> boxed || Rval.equal t.vals.((k * t.width) + c) t.s_val.(c))
     && same t k (c + 1)
 
+  (* whether stored key [k] equals row [p] of [cols] at [pos], from cell [c]
+     on *)
+  let rec holds t k (cols : Batch.data array) pos p c =
+    c = t.width
+    ||
+    let d = cols.(pos.(c)) in
+    let stored = t.codes.((k * t.width) + c) in
+    stored = code d p
+    && (stored <> boxed || Rval.equal t.vals.((k * t.width) + c) (boxed_val d p))
+    && holds t k cols pos p (c + 1)
+
   (* the stored key, from [k] on along its chain, equal to the staged key
      of hash [h], or -1 *)
   let rec find t h k = if k < 0 || (t.hash.(k) = h && same t k 0) then k else find t h t.next.(k)
+
+  (* the same for row [p] of [cols] at [pos] *)
+  let rec find_row t h cols pos p k =
+    if k < 0 || (t.hash.(k) = h && holds t k cols pos p 0) then k
+    else find_row t h cols pos p t.next.(k)
+
+  (* the newest key of hash [h]'s bucket, or -1 *)
+  let bucket t h = t.heads.(h land (Array.length t.heads - 1))
+
+  (* The number of the key in row [p] of columns [cols] at positions [pos],
+     or -1. The cells are hashed and compared in place and nothing is
+     written, so any number of domains may look up one table at once. *)
+  let lookup t (cols : Batch.data array) pos p =
+    let h = ref 0 in
+    for c = 0 to t.width - 1 do
+      let d = cols.(pos.(c)) in
+      h := (!h * 31) + cell_hash (code d p) (boxed_val d p)
+    done;
+    find_row t !h cols pos p (bucket t !h)
 
   (* The number of the staged key, added as the newest when unseen. *)
   let intern t =
     let w = t.width in
     let h = ref 0 in
     for c = 0 to w - 1 do
-      let code = t.s_code.(c) in
-      h := (!h * 31) + if code = boxed then Rval.hash t.s_val.(c) else mix code
+      h := (!h * 31) + cell_hash t.s_code.(c) t.s_val.(c)
     done;
     let h = !h in
-    let k = find t h t.heads.(h land (Array.length t.heads - 1)) in
+    let k = find t h (bucket t h) in
     if k >= 0 then k
     else begin
       if t.n = Array.length t.hash then grow t;
@@ -158,7 +204,10 @@ end
 
 (* A count(DISTINCT) set. Vertex and edge ids go, as [Keys] codes, into an
    open-addressing int set; any other cell into a one-column [Keys] table.
-   [Rnull] is not counted. *)
+   [Rnull] is not counted. The ids stay out of [Keys]: keeping them there
+   too (chains, hashes and staging per cell) raised QR3's probe-fold
+   Group self time from 6.96 to 10.95 ms at 1200 persons, median of five
+   rounds. *)
 module Distinct = struct
   type t = {
     mutable slots : int array;  (** Codes, -1 for an empty slot. *)
@@ -196,17 +245,18 @@ module Distinct = struct
       t.other <- Some k;
       k
 
-  let add_cell t (d : Batch.data) p =
-    match d with
-    | Batch.D_boxed a when (match a.(p) with Rval.Rnull -> true | _ -> false) -> ()
+  (* add boxed cell [p] of [d], not an id *)
+  let add_other t (d : Batch.data) p =
+    match Keys.boxed_val d p with
+    | Rval.Rnull -> ()
     | _ ->
-      let code = Keys.code d p in
-      if code <> Keys.boxed then add_code t code
-      else begin
-        let k = other t in
-        Keys.load k 0 d p;
-        ignore (Keys.intern k)
-      end
+      let k = other t in
+      Keys.load k 0 d p;
+      ignore (Keys.intern k)
+
+  let[@inline] add_cell t (d : Batch.data) p =
+    let code = Keys.code d p in
+    if code <> Keys.boxed then add_code t code else add_other t d p
 
   (* add every value of [p] to [t] *)
   let merge t p =
@@ -240,12 +290,15 @@ module Edge_ids = struct
     t.ids.(t.m) <- e;
     t.m <- t.m + 1
 
-  let add_cell t (d : Batch.data) p =
+  let add_boxed t = function
+    | Rval.Redge e -> push t e
+    | v -> List.iter (push t) (Rval.edge_ids v)
+
+  let[@inline] add_cell t (d : Batch.data) p =
     match d with
     | Batch.D_edge a -> push t a.(p)
     | Batch.D_vertex _ -> ()
-    | Batch.D_boxed a -> (
-      match a.(p) with Rval.Redge e -> push t e | v -> List.iter (push t) (Rval.edge_ids v))
+    | Batch.D_boxed a -> add_boxed t a.(p)
 
   (* no id collected twice *)
   let distinct t =
@@ -264,27 +317,25 @@ end
 
    Layout. The build side keeps every chunk it is fed, as the view it
    arrived as: a chunk is never mutated once pushed downstream, so holding
-   it costs no copy. Each build row is one entry, in arrival order, and
-   each chunk carries its rows' key hashes in an int array; per-morsel
-   partial build states merge by appending in morsel order. [index] then groups
-   the entries by key, on the coordinating domain, after the build stage's
-   merge point and before any probe: each distinct key owns one run of
-   entries, and the keys are chained by hash ([heads]/[next] int arrays).
-   A dense [right_extra] column is also copied out in entry order, so a
-   pair's build cell is one array read. The table is read-only from then
-   on, so probes from every worker domain share it.
+   it costs no copy. Each build row is one entry, in arrival order;
+   per-morsel partial build states merge by appending in morsel order.
+   [index] then numbers the build keys in a [Keys] table, on the
+   coordinating domain, after the build stage's merge point and before any
+   probe: each distinct key owns one run of entries. A dense [right_extra]
+   column is also copied out in entry order, so a pair's build cell is one
+   array read. The table is read-only from then on, so probes from every
+   worker domain share it.
 
-   Keys are read straight from the columns: dense vertex and edge ids
-   unboxed, boxed cells through [Rval.hash]/[Rval.equal]. A boxed
-   [Rvertex x] (an outer join's [Rnull] padding promotes a column to
-   boxed) hashes and compares equal to [x] in a dense vertex column, and
-   likewise for edges. No keys (a cartesian product) match every row.
+   Keys match as [Keys] cells do: a boxed [Rvertex x] (an outer join's
+   [Rnull] padding promotes a column to boxed) is the key [x] of a dense
+   vertex column, a vertex never matches an edge, and other boxed cells
+   match by [Rval.equal]. No keys (a cartesian product) match every row.
 
    Probing. [iter_runs] is the one walk over a probe chunk: each probe row
-   meets its key's run of build entries, found with one key comparison.
-   [probe] unrolls the runs into (probe row, build entry) pairs and
-   gathers those into output chunks; the probe aggregate ([Probe_agg])
-   folds the runs into a count without gathering.
+   looks its key up in place ([Keys.lookup]) and meets that key's run of
+   build entries. [probe] unrolls the runs into (probe row, build entry)
+   pairs and gathers those into output chunks; the probe aggregate
+   ([Probe_agg]) folds the runs into a count without gathering.
 
    Order. A run lists its entries newest first, so a probe row's matches
    come back in reverse build-arrival order; probe rows keep their
@@ -298,9 +349,8 @@ module Join = struct
     out_fields : string list;
   }
 
-  (* The build side while it is being fed: its chunks in arrival order,
-     each with its rows' key hashes. *)
-  type t = { spec : spec; chunks : Batch.t Vec.t; hashes : int array Vec.t; mutable size : int }
+  (* The build side while it is being fed: its chunks in arrival order. *)
+  type t = { spec : spec; chunks : Batch.t Vec.t; mutable size : int }
 
   type kind = K_vertex | K_edge | K_boxed
 
@@ -311,10 +361,8 @@ module Join = struct
     cols : Batch.data array array;  (** Chunk -> column storage. *)
     chunk : int array;  (** Entry -> its chunk. *)
     row : int array;  (** Entry -> its physical row. *)
+    keys : Keys.t;  (** The build keys, numbered in arrival order. *)
     start : int array;  (** Key -> its first entry; key [k]'s run ends at [start.(k + 1)]. *)
-    khash : int array;  (** Key -> hash. *)
-    heads : int array;  (** Bucket -> newest key, or -1. *)
-    next : int array;  (** Key -> next older key of its bucket, or -1. *)
     extra_kind : kind array;
         (** Per [right_extra] column: dense when every build chunk stores
             it as one dense kind. *)
@@ -345,54 +393,13 @@ module Join = struct
           out_fields;
         };
       chunks = Vec.create ();
-      hashes = Vec.create ();
       size = 0;
     }
 
-  let cell_hash (d : Batch.data) p =
-    match d with
-    | Batch.D_vertex a | Batch.D_edge a -> mix a.(p)
-    | Batch.D_boxed a -> (
-      match a.(p) with Rval.Rvertex x | Rval.Redge x -> mix x | v -> Rval.hash v)
-
-  let key_hash keys p =
-    let h = ref 0 in
-    for k = 0 to Array.length keys - 1 do
-      h := (!h * 31) + cell_hash keys.(k) p
-    done;
-    !h
-
-  let cell_equal (da : Batch.data) pa (db : Batch.data) pb =
-    match da, db with
-    | Batch.D_vertex a, Batch.D_vertex b | Batch.D_edge a, Batch.D_edge b -> a.(pa) = b.(pb)
-    | Batch.D_vertex _, Batch.D_edge _ | Batch.D_edge _, Batch.D_vertex _ -> false
-    | Batch.D_vertex a, Batch.D_boxed b -> (
-      match b.(pb) with Rval.Rvertex y -> a.(pa) = y | _ -> false)
-    | Batch.D_boxed a, Batch.D_vertex b -> (
-      match a.(pa) with Rval.Rvertex x -> x = b.(pb) | _ -> false)
-    | Batch.D_edge a, Batch.D_boxed b -> (
-      match b.(pb) with Rval.Redge y -> a.(pa) = y | _ -> false)
-    | Batch.D_boxed a, Batch.D_edge b -> (
-      match a.(pa) with Rval.Redge x -> x = b.(pb) | _ -> false)
-    | Batch.D_boxed a, Batch.D_boxed b -> Rval.equal a.(pa) b.(pb)
-
-  (* whether the key columns [ka] of row [pa] (columns of one chunk, at the
-     positions [pos_a]) equal those of row [pb] of [cb] at [pos_b], from
-     key [j] on *)
-  let rec keys_equal (ca : Batch.data array) pa pos_a (cb : Batch.data array) pb pos_b j =
-    j = Array.length pos_a
-    || cell_equal ca.(pos_a.(j)) pa cb.(pos_b.(j)) pb
-       && keys_equal ca pa pos_a cb pb pos_b (j + 1)
-
   (* Record every row of a build chunk. *)
   let add t chunk =
-    let keys = Array.map (Batch.col chunk) t.spec.rkeys in
-    let sel = Batch.selection chunk in
-    let n = Batch.n_rows chunk in
     Vec.push t.chunks chunk;
-    Vec.push t.hashes
-      (Array.init n (fun i -> key_hash keys (match sel with Some s -> s.(i) | None -> i)));
-    t.size <- t.size + n
+    t.size <- t.size + Batch.n_rows chunk
 
   let size t = t.size
 
@@ -400,20 +407,14 @@ module Join = struct
      after [t]'s. *)
   let merge t p =
     Vec.append t.chunks p.chunks;
-    Vec.append t.hashes p.hashes;
     t.size <- t.size + p.size
 
-  (* Group the entries by key into runs, newest first, and chain the keys
-     by hash. Call once, after the last [add]/[merge] and before any
+  (* Number the build keys and group the entries by key into runs, newest
+     first. Call once, after the last [add]/[merge] and before any
      probe. *)
   let index t =
-    let chunks = Vec.to_array t.chunks and hashes = Vec.to_array t.hashes in
+    let chunks = Vec.to_array t.chunks in
     let n = t.size in
-    let size = ref 16 in
-    while !size < n do
-      size := 2 * !size
-    done;
-    let mask = !size - 1 in
     let cols =
       Array.map (fun chunk -> Array.init (Batch.n_fields chunk) (Batch.col chunk)) chunks
     in
@@ -424,51 +425,32 @@ module Join = struct
         (fun c chunk ->
           let sel = Batch.selection chunk in
           for i = 0 to Batch.n_rows chunk - 1 do
-            f c (match sel with Some s -> s.(i) | None -> i) hashes.(c).(i)
+            f c (match sel with Some s -> s.(i) | None -> i)
           done)
         chunks
     in
-    (* number the keys in arrival order; a key's first entry, at row
-       [rep_row] of chunk [rep_chunk], stands for it *)
-    let heads = Array.make !size (-1) and next = Array.make n (-1) in
-    let khash = Array.make n 0 and rep_chunk = Array.make n 0 and rep_row = Array.make n 0 in
+    let keys = Keys.create ~size:n (Array.length rkeys) in
     let key_of = Array.make n 0 and count = Array.make (n + 1) 0 in
-    let keys = ref 0 and e = ref 0 in
-    iter_entries (fun c r h ->
-        let k = ref heads.(h land mask) in
-        while
-          !k >= 0
-          && not
-               (khash.(!k) = h
-               && keys_equal cols.(c) r rkeys cols.(rep_chunk.(!k)) rep_row.(!k) rkeys 0)
-        do
-          k := next.(!k)
+    let e = ref 0 in
+    iter_entries (fun c r ->
+        for j = 0 to Array.length rkeys - 1 do
+          Keys.load keys j cols.(c).(rkeys.(j)) r
         done;
-        if !k < 0 then begin
-          k := !keys;
-          incr keys;
-          khash.(!k) <- h;
-          rep_chunk.(!k) <- c;
-          rep_row.(!k) <- r;
-          next.(!k) <- heads.(h land mask);
-          heads.(h land mask) <- !k
-        end;
-        key_of.(!e) <- !k;
-        count.(!k + 1) <- count.(!k + 1) + 1;
+        let k = Keys.intern keys in
+        key_of.(!e) <- k;
+        count.(k + 1) <- count.(k + 1) + 1;
         incr e);
-    let nkeys = !keys in
+    let nkeys = Keys.length keys in
     let start = count in
     for k = 1 to nkeys do
       start.(k) <- start.(k) + start.(k - 1)
     done;
     (* lay each key's entries out newest first, filling its run from the
-       end; [rep_row] is free now and holds where the run's next entry
-       goes *)
-    let fill = rep_row in
-    Array.blit start 1 fill 0 nkeys;
+       end; [fill] holds where the run's next entry goes *)
+    let fill = Array.sub start 1 nkeys in
     let chunk = Array.make n 0 and row = Array.make n 0 in
     e := 0;
-    iter_entries (fun c r _ ->
+    iter_entries (fun c r ->
         let k = key_of.(!e) in
         let x = fill.(k) - 1 in
         fill.(k) <- x;
@@ -502,7 +484,7 @@ module Join = struct
                 | Batch.D_boxed _ -> invalid_arg "Breaker.Join: boxed cell in a dense column"))
         t.spec.right_extra
     in
-    { tspec = t.spec; cols; chunk; row; start; khash; heads; next; extra_kind; ids }
+    { tspec = t.spec; cols; chunk; row; keys; start; extra_kind; ids }
 
   let rows tb = Array.length tb.row
   let out_fields tb = tb.tspec.out_fields
@@ -524,26 +506,12 @@ module Join = struct
      row [i] (physical row [p]), in order: its key's build entries are
      [lo .. hi - 1], newest first, and [lo = hi] when it has none. *)
   let iter_runs tb chunk f =
-    let sp = tb.tspec in
     let sel = Batch.selection chunk in
     let cols = Array.init (Batch.n_fields chunk) (Batch.col chunk) in
-    let keys = Array.map (Array.get cols) sp.lkeys in
-    let mask = Array.length tb.heads - 1 in
     for i = 0 to Batch.n_rows chunk - 1 do
       let p = match sel with Some s -> s.(i) | None -> i in
-      let h = key_hash keys p in
-      let k = ref tb.heads.(h land mask) in
-      while
-        !k >= 0
-        && not
-             (tb.khash.(!k) = h
-             &&
-             let e = tb.start.(!k) in
-             keys_equal cols p sp.lkeys tb.cols.(tb.chunk.(e)) tb.row.(e) sp.rkeys 0)
-      do
-        k := tb.next.(!k)
-      done;
-      if !k < 0 then f i p 0 0 else f i p tb.start.(!k) tb.start.(!k + 1)
+      let k = Keys.lookup tb.keys cols tb.tspec.lkeys p in
+      if k < 0 then f i p 0 0 else f i p tb.start.(k) tb.start.(k + 1)
     done
 
   (* A probe's (probe row, build entry) pairs awaiting their gather; one per
@@ -947,10 +915,10 @@ end
    for would have passed on — probe rows, pairs, survivors of each
    AllDistinct — so that [Parallel] charges them as if they had run. *)
 module Probe_agg = struct
-  (* how a pair's cell is read: from a probe column; from a dense build
-     column in entry order, of edge ids ([true]) or vertex ids; or from a
-     boxed build column, the [x]th of [right_extra] *)
-  type reader = Probe of int | Build_ids of bool * int array | Build_boxed of int
+  (* how a pair's cell is read: from a probe column, at the probe row; from
+     a dense build column copied out in entry order, at the entry; or from
+     a boxed build column, the [x]th of [right_extra] *)
+  type reader = Probe of int | Build_ids of Batch.data | Build_boxed of int
 
   type t = {
     group : Group.t;
@@ -979,8 +947,8 @@ module Probe_agg = struct
     | Join.Probe_col j -> Probe j
     | Join.Build_col x -> (
       match tb.Join.extra_kind.(x) with
-      | Join.K_edge -> Build_ids (true, tb.Join.ids.(x))
-      | Join.K_vertex -> Build_ids (false, tb.Join.ids.(x))
+      | Join.K_edge -> Build_ids (Batch.D_edge tb.Join.ids.(x))
+      | Join.K_vertex -> Build_ids (Batch.D_vertex tb.Join.ids.(x))
       | Join.K_boxed -> Build_boxed x)
 
   let create g table ~levels aggs =
@@ -1015,8 +983,7 @@ module Probe_agg = struct
     for f = 0 to Array.length fs - 1 do
       match fs.(f) with
       | Probe j -> Edge_ids.add_cell t.edges lcols.(j) p
-      | Build_ids (true, ids) -> Edge_ids.push t.edges ids.(e)
-      | Build_ids (false, _) -> ()
+      | Build_ids d -> Edge_ids.add_cell t.edges d e
       | Build_boxed x -> Edge_ids.add_cell t.edges (boxed_col t.table x e) t.table.Join.row.(e)
     done;
     Edge_ids.distinct t.edges
@@ -1027,7 +994,7 @@ module Probe_agg = struct
 
   let add_value set lcols p e tb = function
     | Probe j -> Distinct.add_cell set lcols.(j) p
-    | Build_ids (edge, ids) -> Distinct.add_code set ((2 * ids.(e)) + if edge then 1 else 0)
+    | Build_ids d -> Distinct.add_cell set d e
     | Build_boxed x -> Distinct.add_cell set (boxed_col tb x e) tb.Join.row.(e)
 
   (* Probe with one chunk and fold its pairs in, calling [check] every 8192

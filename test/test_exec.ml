@@ -555,10 +555,11 @@ let prop_sorted_run_merge =
 
 (* property: the column hash-join table equals a nested loop that returns
    each probe row's matches in reverse build-arrival order. Key columns are
-   dense vertex ids, boxed scalars, or vertex ids promoted to boxed by an
-   Rnull, chosen per chunk and so mixed across the two sides; build chunks
-   are sometimes selection views; 1-3 partial build states merge in
-   order. *)
+   chosen per chunk, and so mixed across the two sides: dense vertex or
+   edge ids, the same promoted to boxed by an Rnull, vertices and edges of
+   one id range in one column (which never match), Ints and equal Floats
+   (which do), or Rval Null and Rnull. Build chunks are sometimes selection
+   views; 1-3 partial build states merge in order. *)
 let prop_join_table =
   QCheck.Test.make ~name:"join table = nested loop, reverse build order" ~count:300
     QCheck.small_int (fun seed ->
@@ -572,13 +573,19 @@ let prop_join_table =
       let cs = [| 1; 7; 1024 |].(Prng.int rng 3) in
       (* one chunk's rows: [payload] fills the non-key columns of row [i] *)
       let chunk fields payload =
-        let mode = Prng.int rng 3 in
+        let mode = Prng.int rng 8 in
         let cell () =
           let k = Prng.int rng 3 in
+          let either a b = if Prng.bool rng then a else b in
           match mode with
           | 0 -> Rval.Rvertex k
-          | 1 -> Rval.Rval (Value.Int k)
-          | _ -> if Prng.int rng 4 = 0 then Rval.Rnull else Rval.Rvertex k
+          | 1 -> Rval.Redge k
+          | 2 -> Rval.Rval (Value.Int k)
+          | 3 -> if Prng.int rng 4 = 0 then Rval.Rnull else Rval.Rvertex k
+          | 4 -> if Prng.int rng 4 = 0 then Rval.Rnull else Rval.Redge k
+          | 5 -> either (Rval.Rvertex k) (Rval.Redge k)
+          | 6 -> either (Rval.Rval (Value.Int k)) (Rval.Rval (Value.Float (float_of_int k)))
+          | _ -> either (Rval.Rval Value.Null) Rval.Rnull
         in
         let rows =
           List.init (1 + Prng.int rng 12) (fun i ->

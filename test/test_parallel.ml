@@ -583,15 +583,32 @@ let test_project_columns () =
     [ ("dense columns", hop "p" "f"); ("promoted columns", outer) ]
 
 (* which cells are one key: a boxed vertex and the dense id, an Int and the
-   equal Float; not Rnull and Rval Null *)
+   equal Float; not Rnull and Rval Null. Each key is also looked up in
+   place: under its number from the cell's own column and from the key's
+   cell boxed, at -1 when absent, and without adding a key. *)
 let test_key_cells () =
   let key cells =
     let t = Breaker.Keys.create 1 in
-    List.map
-      (fun (d, p) ->
-        Breaker.Keys.load t 0 d p;
-        Breaker.Keys.intern t)
-      cells
+    let ks =
+      List.map
+        (fun (d, p) ->
+          Breaker.Keys.load t 0 d p;
+          Breaker.Keys.intern t)
+        cells
+    in
+    let n = Breaker.Keys.length t in
+    let lookup d p = Breaker.Keys.lookup t [| d |] [| 0 |] p in
+    List.iter2
+      (fun (d, p) k ->
+        Alcotest.(check int) "found in its column" k (lookup d p);
+        Alcotest.(check int) "found boxed" k
+          (lookup (Batch.D_boxed [| Breaker.Keys.cell t k 0 |]) 0))
+      cells ks;
+    Alcotest.(check int) "absent id" (-1) (lookup (Batch.D_edge [| 99 |]) 0);
+    Alcotest.(check int) "absent value" (-1)
+      (lookup (Batch.D_boxed [| Rval.Rval (Value.Str "absent") |]) 0);
+    Alcotest.(check int) "lookups add no key" n (Breaker.Keys.length t);
+    ks
   in
   let boxed vs = Batch.D_boxed (Array.of_list vs) in
   Alcotest.(check (list int)) "Rvertex x = dense x" [ 0; 1; 0 ]
